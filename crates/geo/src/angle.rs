@@ -1,6 +1,11 @@
 /// Normalizes an angle in degrees to `[0, 360)`.
 #[inline]
 pub fn normalize_deg(deg: f64) -> f64 {
+    // `%` returns an in-range input unchanged (including `-0.0`), so
+    // skipping it there is exact; headings are almost always in range.
+    if (0.0..360.0).contains(&deg) {
+        return deg;
+    }
     let d = deg % 360.0;
     if d < 0.0 {
         d + 360.0
@@ -49,6 +54,31 @@ mod tests {
         assert_eq!(normalize_deg(360.0), 0.0);
         assert_eq!(normalize_deg(-90.0), 270.0);
         assert_eq!(normalize_deg(725.0), 5.0);
+    }
+
+    #[test]
+    fn normalize_in_range_shortcut_is_exact() {
+        let reference = |deg: f64| {
+            let d = deg % 360.0;
+            if d < 0.0 {
+                d + 360.0
+            } else {
+                d
+            }
+        };
+        for deg in [
+            -0.0,
+            0.0,
+            359.999_999_999_999_94,
+            360.0,
+            -1e-12,
+            725.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_eq!(normalize_deg(deg).to_bits(), reference(deg).to_bits(), "{deg}");
+        }
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! | `/metrics`    |                       | obs JSON snapshot          |
 //! | `/healthz`    |                       | liveness + epoch           |
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -49,6 +49,12 @@ const IO_DEADLINE: Duration = Duration::from_secs(5);
 /// timed read, so unbounded headers would turn the read deadline into
 /// `lines x deadline`.
 const MAX_HEADER_LINES: usize = 64;
+
+/// Reads, each of at most 4 KiB and waiting at most `LINGER_READ`, spent
+/// draining a refused request before its connection closes (see
+/// [`linger_close`]); bounds the drain to 32 KiB and 2 s per connection.
+const LINGER_READS: usize = 8;
+const LINGER_READ: Duration = Duration::from_millis(250);
 
 /// Server hardening knobs.
 #[derive(Debug, Clone, Copy)]
@@ -288,6 +294,7 @@ fn handle_conn(
             metrics.oversize_total.inc();
             let mut stream = buf.into_inner();
             respond(&mut stream, 431, &err_json("too many header lines"));
+            linger_close(stream);
             return;
         }
         header.clear();
@@ -440,6 +447,24 @@ fn split_target(target: &str) -> (&str, Vec<(String, String)>) {
 
 fn err_json(msg: &str) -> String {
     format!("{{\"error\":\"{}\"}}", escape_json(msg))
+}
+
+/// Closes a connection whose request was refused before it was read to
+/// its end. Closing a socket with unread input makes the kernel reset the
+/// connection, and the reset can discard the response before the client
+/// reads it. So this half-closes after the response, then reads and drops
+/// what the client still sends (bounded by `LINGER_READS`) until the
+/// client closes its side.
+fn linger_close(mut stream: TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(LINGER_READ));
+    let mut sink = [0u8; 4096];
+    for _ in 0..LINGER_READS {
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+    }
 }
 
 fn respond(stream: &mut TcpStream, status: u16, body: &str) {

@@ -3,9 +3,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 use taxitrace_geo::Point;
 use taxitrace_roadnet::synth::SyntheticCity;
-use taxitrace_roadnet::{
-    dijkstra, CostModel, ElementId, NodeId, RoutePath, SearchState, TrafficElement,
-};
+use taxitrace_roadnet::{dijkstra, CostModel, Edge, ElementId, NodeId, RoutePath, SearchState};
 use taxitrace_timebase::{study_period_start, Duration, Season, Timestamp};
 use taxitrace_weather::WeatherModel;
 
@@ -181,11 +179,18 @@ pub fn simulate_fleet(
     config: &FleetConfig,
 ) -> FleetData {
     let shards = plan_shards(config);
+    let elem_len: HashMap<ElementId, f64> =
+        city.elements.iter().map(|e| (e.id, e.length())).collect();
     let ctx = FleetCtx {
         city,
         weather,
         config,
-        elem_index: city.elements.iter().map(|e| (e.id, e)).collect(),
+        edge_elems: city
+            .graph
+            .edges()
+            .iter()
+            .map(|e| e.elements.iter().map(|&id| (id, elem_len[&id])).collect())
+            .collect(),
         core_nodes: core_node_weights(city),
         od_names: city
             .od_roads
@@ -194,8 +199,8 @@ pub fn simulate_fleet(
             .collect(),
     };
     let (per_shard, _states) =
-        taxitrace_exec::par_map_init(&shards, SearchState::new, |search, shard| {
-            simulate_day(search, &ctx, shard)
+        taxitrace_exec::par_map_init(&shards, DayScratch::default, |scratch, shard| {
+            simulate_day(scratch, &ctx, shard)
         });
     let mut sessions: Vec<RawTrip> = per_shard.into_iter().flatten().collect();
     sessions.sort_by_key(|s| (s.taxi, s.start_time));
@@ -219,9 +224,19 @@ struct FleetCtx<'a> {
     city: &'a SyntheticCity,
     weather: &'a WeatherModel,
     config: &'a FleetConfig,
-    elem_index: HashMap<ElementId, &'a TrafficElement>,
+    /// Per edge (indexed by `EdgeId`): its traffic elements in forward
+    /// order, each with its length.
+    edge_elems: Vec<Vec<(ElementId, f64)>>,
     core_nodes: (Vec<NodeId>, Vec<f64>),
     od_names: Vec<(NodeId, &'a str)>,
+}
+
+/// Per-worker scratch reused across day shards.
+#[derive(Default)]
+struct DayScratch {
+    search: SearchState,
+    /// Per-leg perturbed edge weights, indexed by `EdgeId`.
+    weights: Vec<f64>,
 }
 
 /// Sequential planning pass: samples each taxi's profile and splits its
@@ -291,7 +306,7 @@ struct Event {
 /// chaining the previous day's drop-off — which is what makes day units
 /// independent work items.
 fn simulate_day(
-    search: &mut SearchState,
+    scratch: &mut DayScratch,
     ctx: &FleetCtx<'_>,
     shard: &DayShard,
 ) -> Option<RawTrip> {
@@ -342,8 +357,7 @@ fn simulate_day(
             current_node,
             config.p_od_dest,
         );
-        let Some(route) =
-            choose_route(search, city, &mut rng, &profile, current_node, dest)
+        let Some(route) = choose_route(scratch, city, &mut rng, &profile, current_node, dest)
         else {
             continue;
         };
@@ -354,7 +368,7 @@ fn simulate_day(
             city,
             config,
             &profile,
-            &ctx.elem_index,
+            &ctx.edge_elems,
             &route,
             speed_env,
             od_pair,
@@ -458,28 +472,30 @@ fn od_pair_of(
 /// one for this trip's weights: the minimum perturbed cost-per-metre over
 /// all edges, so `weight(e) >= h_scale * length(e)` holds edge by edge and
 /// the weighted A* returns exactly what the blind search would.
+///
+/// One pass over the edges, in id order, draws each edge's noise, stores
+/// its weight and folds the heuristic scale. The draw order is part of
+/// the simulator's output: every later draw of the day depends on it.
 fn choose_route(
-    search: &mut SearchState,
+    scratch: &mut DayScratch,
     city: &SyntheticCity,
     rng: &mut Rng,
     profile: &DriverProfile,
     from: NodeId,
     to: NodeId,
 ) -> Option<RoutePath> {
-    let noise: Vec<f64> = (0..city.graph.num_edges())
-        .map(|_| (profile.route_noise * rng.normal()).exp())
-        .collect();
-    let h_scale = city
-        .graph
-        .edges()
-        .iter()
-        .map(|e| CostModel::TravelTime.cost(e) * noise[e.id.0 as usize] / e.length_m)
-        .fold(f64::INFINITY, f64::min)
-        .max(0.0);
+    let DayScratch { search, weights } = scratch;
+    weights.clear();
+    let mut h_scale = f64::INFINITY;
+    for e in city.graph.edges() {
+        let w = CostModel::TravelTime.cost(e) * (profile.route_noise * rng.normal()).exp();
+        h_scale = h_scale.min(w / e.length_m);
+        weights.push(w);
+    }
+    let h_scale = h_scale.max(0.0);
     let h_scale = if h_scale.is_finite() { h_scale } else { 0.0 };
-    dijkstra::astar_weighted_with(search, &city.graph, from, to, |e| {
-        CostModel::TravelTime.cost(e) * noise[e.id.0 as usize]
-    }, h_scale)
+    let weight = |e: &Edge| weights[e.id.0 as usize];
+    dijkstra::astar_weighted_with(search, &city.graph, from, to, weight, h_scale)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -489,7 +505,7 @@ fn drive_leg(
     city: &SyntheticCity,
     config: &FleetConfig,
     profile: &DriverProfile,
-    elem_index: &HashMap<ElementId, &TrafficElement>,
+    edge_elems: &[Vec<(ElementId, f64)>],
     route: &RoutePath,
     speed_env: f64,
     od_pair: Option<(String, String)>,
@@ -507,17 +523,16 @@ fn drive_leg(
     {
         let mut off = 0.0;
         for (i, &eid) in route.edges.iter().enumerate() {
-            let edge = city.graph.edge(eid);
-            let fwd = edge.from == route.nodes[i];
-            let elems: Vec<ElementId> = if fwd {
-                edge.elements.clone()
-            } else {
-                edge.elements.iter().rev().copied().collect()
-            };
-            for el in elems {
-                let len = elem_index[&el].length();
-                spans.push(ElemSpan { id: el, route_start: off, len, reversed: !fwd });
+            let fwd = city.graph.edge(eid).from == route.nodes[i];
+            let elems = &edge_elems[eid.0 as usize];
+            let mut push = |&(id, len): &(ElementId, f64)| {
+                spans.push(ElemSpan { id, route_start: off, len, reversed: !fwd });
                 off += len;
+            };
+            if fwd {
+                elems.iter().for_each(&mut push);
+            } else {
+                elems.iter().rev().for_each(&mut push);
             }
         }
     }
@@ -572,11 +587,12 @@ fn drive_leg(
     {
         let verts = line.vertices();
         let mut off = 0.0;
+        let mut h1 = verts[0].heading_to(verts[1]);
         for i in 1..verts.len() - 1 {
             off += verts[i - 1].distance(verts[i]);
-            let h1 = verts[i - 1].heading_to(verts[i]);
             let h2 = verts[i].heading_to(verts[i + 1]);
             let turn = taxitrace_geo::heading_diff_deg(h1, h2);
+            h1 = h2;
             if turn > 60.0 {
                 events.push(Event { offset: off, kind: EventKind::SlowTo { v_ms: 4.2 }, done: false });
             } else if turn > 35.0 {
@@ -611,9 +627,10 @@ fn drive_leg(
     // Crowd-zone micro-stops: pedestrians stepping onto the street force
     // queue-like stop-and-go (several seconds each, repeatedly).
     for zone in &config.crowd_zones {
+        let mut cursor = line.cursor();
         let mut s = 0.0;
         while s < total {
-            if zone.contains(line.point_at(s)) && rng.chance(zone.micro_stop_per_100m) {
+            if zone.contains(cursor.point_at(s)) && rng.chance(zone.micro_stop_per_100m) {
                 events.push(Event {
                     offset: s + rng.range(0.0, 100.0_f64.min(total - s)),
                     kind: EventKind::Stop { dwell_s: rng.range(4.0, 16.0) },
@@ -635,6 +652,11 @@ fn drive_leg(
     let start_seq = sb.next_seq;
     let max_steps = (3.0 * 3600.0 / dt) as usize; // 3 h safety cap
     let decel = profile.decel_ms2;
+    // `s` never decreases (`v >= 0`), so one cursor serves the whole leg.
+    // The point after step k is the point before step k + 1: the loop only
+    // continues while `s < total`, where `s.min(total) == s`.
+    let mut cursor = line.cursor();
+    let mut pos = cursor.point_at(s);
 
     for _ in 0..max_steps {
         if s >= total - 0.5 {
@@ -652,7 +674,6 @@ fn drive_leg(
             next_event += 1;
         }
 
-        let pos = line.point_at(s);
         // Cruise target with environment and crowd factors.
         let mut cruise = limits[limit_idx].1 * profile.speed_factor * speed_env;
         for zone in &config.crowd_zones {
@@ -706,9 +727,10 @@ fn drive_leg(
         sb.fuel += config.fuel.step_ml(v, a, dt);
         sb.dist_m += v * dt;
 
-        let heading = line.heading_at(s.min(total));
+        let heading = cursor.heading_at(s.min(total));
+        pos = cursor.point_at(s.min(total));
         let elem = spans.get(span_idx).map(|sp| sp.id);
-        sb.observe(rng, line.point_at(s.min(total)), v * 3.6, heading, elem);
+        sb.observe(rng, pos, v * 3.6, heading, elem);
 
         // Handle every reached event, not just the frontmost: a single
         // step can overshoot several events, and an unexpired SlowTo in
@@ -737,7 +759,7 @@ fn drive_leg(
             k += 1;
         }
         if total_dwell > 0.0 {
-            sb.dwell_on_route(rng, total_dwell, line.point_at(s.min(total)), heading, elem);
+            sb.dwell_on_route(rng, total_dwell, pos, heading, elem);
         }
     }
     // Final point at the destination with v = 0.

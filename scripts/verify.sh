@@ -275,6 +275,34 @@ print(f"perf smoke OK: study {one['study_fingerprint']} and "
 EOF
 rm -f "$j1" "$j4"
 
+# Perf smoke, pinned bits: a drift that is the same at every worker count
+# passes the check above, so at the committed seed and scale the study
+# fingerprint and the three simulate_matrix fingerprints must also equal
+# the values committed in BENCH_pipeline.json. Performance changes keep
+# these bits; only a deliberate re-bless moves them.
+jc=$(mktemp)
+./target/release/repro --scale 1.0 --bench-json "$jc" table3 > /dev/null 2>&1
+python3 - "$jc" BENCH_pipeline.json <<'EOF'
+import json, sys
+
+fresh, committed = (json.load(open(p)) for p in sys.argv[1:3])
+assert (fresh["seed"], fresh["scale"]) == (committed["seed"], committed["scale"]), \
+    "pinned-bits smoke must run at the committed seed and scale"
+assert fresh["study_fingerprint"] == committed["study_fingerprint"], \
+    f"study fingerprint {fresh['study_fingerprint']} != committed " \
+    f"{committed['study_fingerprint']}"
+
+want = {r["scale"]: r["fingerprint"] for r in committed["simulate_matrix"]}
+assert sorted(want) == [1, 10, 100], f"committed matrix scales: {sorted(want)}"
+rows = fresh["simulate_matrix"]
+assert sorted({r["scale"] for r in rows}) == sorted(want), "matrix scales drifted"
+bad = [r for r in rows if r["fingerprint"] != want[r["scale"]]]
+assert not bad, f"simulate_matrix rows {bad} differ from committed {want}"
+print(f"pinned-bits smoke OK: study {fresh['study_fingerprint']} and "
+      f"{len(want)} matrix fingerprints equal BENCH_pipeline.json")
+EOF
+rm -f "$jc"
+
 # Serve smoke: start the HTTP query service on an ephemeral port, issue
 # one query of each kind, and check (a) every route answers canonical
 # JSON, (b) /metrics exposes the schema-versioned obs document with the
