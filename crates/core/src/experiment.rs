@@ -790,13 +790,11 @@ pub fn transition_anomaly(
 }
 
 /// Matches and fuses one corridor transition over its parent segment.
-/// Shared by the batch stage-4 fuse and the streaming per-closed-trip
-/// path, so the two produce identical records by construction. The
-/// boolean reports whether the gap-fill search blew its expansion budget
-/// somewhere in this slice (the record is then quarantined as an
+/// The boolean reports whether the gap-fill search blew its expansion
+/// budget somewhere in this slice (the record is then quarantined as an
 /// unmatched gap).
 #[allow(clippy::too_many_arguments)] // the stage-4 working set, spelled out
-pub fn fuse_transition(
+fn fuse_transition(
     city: &SyntheticCity,
     weather: &WeatherModel,
     config: &StudyConfig,
@@ -841,9 +839,8 @@ pub fn fuse_transition(
 }
 
 /// The matching configuration stage 4 actually runs with: the study's,
-/// with the chaos plan's gap-fill budget override applied. Shared with
-/// the streaming path so both fuse under identical budgets.
-pub fn resolved_matching_config(config: &StudyConfig) -> MatchConfig {
+/// with the chaos plan's gap-fill budget override applied.
+fn resolved_matching_config(config: &StudyConfig) -> MatchConfig {
     let mut matching_config = config.matching;
     if let Some(budget) =
         config.chaos.as_ref().and_then(|p| p.gap_fill_max_expansions)

@@ -1,33 +1,36 @@
 //! The streaming ingest engine.
 //!
 //! One feeder thread pushes the arrival-ordered feed through a bounded
-//! queue; the processor thread runs the watermark machine, cleans each
-//! trip the moment it closes, map-matches its transitions into the
-//! sliding window, and checkpoints the stream cursor. At end of stream
-//! the accumulated per-session products are assembled through the
-//! *unchanged* batch stages (`assemble_cleaned → analyze_od →
+//! queue in chunks; the processor thread runs the watermark machine,
+//! cleans each trip the moment it closes, extracts its O-D transitions
+//! into the sliding window, and checkpoints the stream cursor. No trip is
+//! map-matched live: the window needs only each transition's O-D pair. At
+//! end of stream the accumulated per-session products are assembled
+//! through the *unchanged* batch stages (`assemble_cleaned → analyze_od →
 //! match_fuse`), which is what makes stream-end output byte-identical to
 //! `Study::run` on the same seed — parity by construction, pinned by
 //! `tests/stream_parity.rs`.
 //!
-//! Backpressure contract: when the queue is full the feeder **blocks**
-//! (counting `stream.backpressure_stalls`); records are never dropped to
-//! shed load. The only records that leave the pipeline early are
-//! malformed or late-past-watermark ones, and both land in the
+//! Backpressure contract: records cross the queue in chunks of
+//! `clamp(queue_capacity / 8, 1, 256)`, with `queue_capacity / chunk`
+//! chunk slots, so no more than `queue_capacity` records are ever queued.
+//! When every slot is full the feeder **blocks** (counting
+//! `stream.backpressure_stalls` once per blocked chunk); records are never
+//! dropped to shed load. The only records that leave the pipeline early
+//! are malformed or late-past-watermark ones, and both land in the
 //! quarantine ledger under the `stream` stage's error budget.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, TrySendError};
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread;
 
 use taxitrace_cleaning::{clean_session, session_anomaly, CleaningTotals, TripSegment};
 use taxitrace_core::{
-    check_budget, fuse_transition, resolved_fault_policy, resolved_matching_config,
-    transition_anomaly, Error, Quarantine, QuarantineEntry, QuarantineReason, Study, StudyConfig,
+    check_budget, resolved_fault_policy, transition_anomaly, Error, Quarantine, QuarantineEntry,
+    QuarantineReason, Study, StudyConfig,
 };
-use taxitrace_matching::{CandidateIndex, MatchScratch};
 use taxitrace_od::OdAnalyzer;
 use taxitrace_traces::{RawTrip, RoutePoint};
 
@@ -35,7 +38,7 @@ use crate::checkpoint::{
     load_stream_checkpoint, save_stream_checkpoint, stream_fingerprint, SessionProducts,
     StreamState, STREAM_CHECKPOINT_FILE,
 };
-use crate::feed::{build_feed, FLAG_BURST, FLAG_STALL};
+use crate::feed::{build_feed, FeedRecord, FLAG_BURST, FLAG_STALL};
 use crate::metrics::StreamMetrics;
 use crate::watermark::{Disposition, TripBuffer, WatermarkConfig, WatermarkMachine};
 use crate::window::SlidingWindow;
@@ -44,6 +47,43 @@ use crate::{StreamConfig, StreamReport, StreamRun};
 /// How long an injected feeder stall pauses. Affects liveness metrics
 /// only — never the data.
 const STALL_PAUSE: std::time::Duration = std::time::Duration::from_millis(2);
+
+/// Records per queue chunk for a queue of `capacity` records. Capacity 1
+/// gives chunks of one record in one slot.
+fn chunk_len(capacity: usize) -> usize {
+    (capacity / 8).clamp(1, 256)
+}
+
+/// Hands one chunk to the processor, blocking while every slot is full.
+/// Returns `false` once the processor has hung up.
+fn hand_off(
+    tx: &SyncSender<Vec<FeedRecord>>,
+    chunk: Vec<FeedRecord>,
+    live: bool,
+    queue_depth: &AtomicU64,
+    metrics: &StreamMetrics,
+) -> bool {
+    let n = chunk.len() as u64;
+    // sync(queue_depth): incremented before send, decremented by the
+    // processor after recv; pure gauge bookkeeping, so Relaxed is enough
+    // and transient over-count is fine.
+    queue_depth.fetch_add(n, Ordering::Relaxed);
+    let sent = match tx.try_send(chunk) {
+        Ok(()) => true,
+        Err(TrySendError::Full(chunk)) => {
+            if live {
+                metrics.backpressure_stalls.inc();
+            }
+            tx.send(chunk).is_ok()
+        }
+        Err(TrySendError::Disconnected(_)) => false,
+    };
+    if !sent {
+        // sync(queue_depth): undo — the chunk never entered the queue.
+        queue_depth.fetch_sub(n, Ordering::Relaxed);
+    }
+    sent
+}
 
 /// Runs the study as a stream. See [`crate::run_stream`].
 pub fn run_stream(
@@ -58,7 +98,11 @@ pub fn run_stream(
     let mut span = registry.span("study/stream");
 
     let plan = sim.config.chaos.clone();
-    let (feed, feed_stats) = build_feed(sim.store.sessions(), plan.as_ref());
+    let sessions = sim.store.sessions();
+    let (feed, feed_stats) = {
+        let _s = registry.span("study/stream/feed");
+        build_feed(sessions, plan.as_ref())
+    };
     let feed_len = feed.len() as u64;
 
     // Resume from a stream-cursor checkpoint when one matches both
@@ -82,56 +126,50 @@ pub fn run_stream(
     // Bounded ingest queue. The feeder owns the feed; the processor owns
     // everything else.
     let queue_depth = Arc::new(AtomicU64::new(0));
-    let (tx, rx) = sync_channel::<crate::feed::FeedRecord>(stream_cfg.queue_capacity);
+    let chunk = chunk_len(stream_cfg.queue_capacity);
+    let (tx, rx) = sync_channel::<Vec<FeedRecord>>(stream_cfg.queue_capacity / chunk);
     let feeder = {
         let metrics = metrics.clone();
         let depth = Arc::clone(&queue_depth);
         thread::Builder::new()
             .name("stream-feeder".into())
             .spawn(move || {
-                for (i, record) in feed.into_iter().enumerate() {
-                    let live = (i as u64) >= cursor_start;
-                    if live && record.flags & FLAG_STALL != 0 {
+                // A chunk counts as live when its last record is.
+                let send = |pending: &mut Vec<FeedRecord>, last: u64| {
+                    let ready = std::mem::replace(pending, Vec::with_capacity(chunk));
+                    hand_off(&tx, ready, last >= cursor_start, &depth, &metrics)
+                };
+                let mut pending = Vec::with_capacity(chunk);
+                for (i, record) in (0u64..).zip(feed) {
+                    if i >= cursor_start && record.flags & FLAG_STALL != 0 {
+                        // The processor drains what came before the stall.
+                        if !pending.is_empty() && !send(&mut pending, i - 1) {
+                            return;
+                        }
                         metrics.feeder_stalls.inc();
                         thread::sleep(STALL_PAUSE);
                     }
-                    // sync(queue_depth): incremented before send, decremented
-                    // by the processor after recv; pure gauge bookkeeping, so
-                    // Relaxed is enough and transient over-count is fine.
-                    depth.fetch_add(1, Ordering::Relaxed);
-                    match tx.try_send(record) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(record)) => {
-                            if live {
-                                metrics.backpressure_stalls.inc();
-                            }
-                            if tx.send(record).is_err() {
-                                // sync(queue_depth): undo — the record never
-                                // entered the queue.
-                                depth.fetch_sub(1, Ordering::Relaxed);
-                                return;
-                            }
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            // sync(queue_depth): undo, as above.
-                            depth.fetch_sub(1, Ordering::Relaxed);
-                            return;
-                        }
+                    pending.push(record);
+                    if pending.len() == chunk && !send(&mut pending, i) {
+                        return;
                     }
+                }
+                if !pending.is_empty() {
+                    send(&mut pending, feed_len - 1);
                 }
             })
             .map_err(|e| Error::Pipeline(format!("spawn stream feeder: {e}")))?
     };
 
-    // Stage-4 working set for *live* incremental matching. Its products
-    // feed the sliding window only; the authoritative tables are
-    // recomputed by the batch stages at assembly.
-    let analyzer = OdAnalyzer::from_city(&sim.city);
-    let index = CandidateIndex::new(&sim.city.graph, &sim.city.elements);
-    let mut scratch = MatchScratch::new();
-    let matching_config = resolved_matching_config(&sim.config);
     let (error_budget, max_attempts) = resolved_fault_policy(&sim.config);
-    let panic_one_in = plan.as_ref().map(|p| p.task_panic_one_in).unwrap_or(0);
+    let closer = Closer {
+        sessions,
+        config: &sim.config,
+        analyzer: OdAnalyzer::from_city(&sim.city),
+        panic_one_in: plan.as_ref().map(|p| p.task_panic_one_in).unwrap_or(0),
+        max_attempts,
+        metrics: &metrics,
+    };
     let kill_after = plan.as_ref().map(|p| p.stream_kill_after_records).unwrap_or(0);
 
     let mut machine = WatermarkMachine::new(WatermarkConfig {
@@ -142,96 +180,90 @@ pub fn run_stream(
     let mut max_depth: u64 = 0;
     let mut next_index: u64 = 0;
 
-    while let Ok(record) = rx.recv() {
-        let i = next_index;
-        next_index += 1;
+    let mut ingest = registry.span("study/stream/ingest");
+    while let Ok(records) = rx.recv() {
+        let n = records.len() as u64;
         // sync(queue_depth): consumer side of the feeder's increment.
-        let depth_before = queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let live = i >= cursor_start;
-        if live {
-            metrics.records_total.inc();
-            metrics.queue_depth.set(depth_before.saturating_sub(1) as f64);
-            max_depth = max_depth.max(depth_before);
-            if record.flags & FLAG_BURST != 0 {
-                metrics.bursts.inc();
-            }
+        let depth = queue_depth.fetch_sub(n, Ordering::Relaxed).saturating_sub(n);
+        if next_index + n > cursor_start {
+            metrics.queue_depth.set(depth as f64);
+            max_depth = max_depth.max(depth);
         }
-
-        let trip_id = record.point.trip_id.0;
-        let point_id = record.point.point_id;
-        if is_malformed(&record.point) {
+        for record in records {
+            let i = next_index;
+            next_index += 1;
+            let live = i >= cursor_start;
             if live {
-                metrics.records_malformed.inc();
-                state.stream_quarantine.push(QuarantineEntry {
-                    stage: "stream".into(),
-                    record: trip_id,
-                    reason: QuarantineReason::MalformedRecord,
-                    detail: format!(
-                        "non-finite position at point {point_id} (feed record #{i})"
-                    ),
-                });
-            }
-        } else {
-            let event_s = record.point.timestamp.secs();
-            let disposition =
-                machine.offer(record.session_index, record.point_index, event_s, record.point);
-            if disposition == Disposition::LatePastWatermark && live {
-                metrics.late_dropped.inc();
-                state.stream_quarantine.push(QuarantineEntry {
-                    stage: "stream".into(),
-                    record: trip_id,
-                    reason: QuarantineReason::LatePastWatermark,
-                    detail: format!(
-                        "arrived after trip {trip_id} closed past the watermark \
-                         (feed record #{i})"
-                    ),
-                });
-            }
-            for buffer in machine.drain_closable() {
-                if live {
-                    close_trip(
-                        buffer,
-                        sim.store.sessions(),
-                        &sim,
-                        &analyzer,
-                        &index,
-                        &mut scratch,
-                        &matching_config,
-                        panic_one_in,
-                        max_attempts,
-                        &mut state,
-                        &mut window,
-                        &metrics,
-                    );
+                metrics.records_total.inc();
+                if record.flags & FLAG_BURST != 0 {
+                    metrics.bursts.inc();
                 }
-                // Catch-up closes are discarded: their products were
-                // restored from the checkpoint.
             }
-        }
 
-        if live {
-            metrics.watermark_lag_s.set(machine.lag_s() as f64);
-            if let Some(frontier) = machine.frontier_s() {
-                window.advance(frontier, &metrics);
-            }
-            state.cursor = i + 1;
-            if let Some(path) = &ck_path {
-                let periodic = stream_cfg.checkpoint_every > 0
-                    && state.cursor % stream_cfg.checkpoint_every == 0
-                    && state.cursor < feed_len;
-                if periodic {
-                    metrics.checkpoints.inc();
-                    save_stream_checkpoint(path, fingerprint, &state, &metrics)?;
+            let point = record.point(sessions);
+            let trip_id = point.trip_id.0;
+            if is_malformed(&point) {
+                if live {
+                    metrics.records_malformed.inc();
+                    state.stream_quarantine.push(QuarantineEntry {
+                        stage: "stream".into(),
+                        record: trip_id,
+                        reason: QuarantineReason::MalformedRecord,
+                        detail: format!(
+                            "non-finite position at point {} (feed record #{i})",
+                            point.point_id
+                        ),
+                    });
+                }
+            } else {
+                let event_s = point.timestamp.secs();
+                let disposition =
+                    machine.offer(record.session_index, record.point_index, event_s, point);
+                if disposition == Disposition::LatePastWatermark && live {
+                    metrics.late_dropped.inc();
+                    state.stream_quarantine.push(QuarantineEntry {
+                        stage: "stream".into(),
+                        record: trip_id,
+                        reason: QuarantineReason::LatePastWatermark,
+                        detail: format!(
+                            "arrived after trip {trip_id} closed past the watermark \
+                             (feed record #{i})"
+                        ),
+                    });
+                }
+                for buffer in machine.drain_closable() {
+                    if live {
+                        closer.close(buffer, &mut state, &mut window);
+                    }
+                    // Catch-up closes are discarded: their products were
+                    // restored from the checkpoint.
                 }
             }
-            if kill_after > 0 && state.cursor == kill_after {
+
+            if live {
+                metrics.watermark_lag_s.set(machine.lag_s() as f64);
+                if let Some(frontier) = machine.frontier_s() {
+                    window.advance(frontier, &metrics);
+                }
+                state.cursor = i + 1;
                 if let Some(path) = &ck_path {
-                    metrics.checkpoints.inc();
-                    save_stream_checkpoint(path, fingerprint, &state, &metrics)?;
+                    let periodic = stream_cfg.checkpoint_every > 0
+                        && state.cursor % stream_cfg.checkpoint_every == 0
+                        && state.cursor < feed_len;
+                    if periodic {
+                        metrics.checkpoints.inc();
+                        save_stream_checkpoint(path, fingerprint, &state, &metrics)?;
+                    }
                 }
-                drop(rx);
-                let _ = feeder.join();
-                return Err(Error::InjectedKill { stage: format!("stream@{}", state.cursor) });
+                if kill_after > 0 && state.cursor == kill_after {
+                    if let Some(path) = &ck_path {
+                        metrics.checkpoints.inc();
+                        save_stream_checkpoint(path, fingerprint, &state, &metrics)?;
+                    }
+                    drop(rx);
+                    let _ = feeder.join();
+                    return Err(Error::InjectedKill { stage: format!("stream@{}", state.cursor) });
+                }
             }
         }
     }
@@ -241,24 +273,14 @@ pub fn run_stream(
     // End of stream: every still-open trip closes now. All of these are
     // live — a killed run never reaches its flush.
     for buffer in machine.flush() {
-        close_trip(
-            buffer,
-            sim.store.sessions(),
-            &sim,
-            &analyzer,
-            &index,
-            &mut scratch,
-            &matching_config,
-            panic_one_in,
-            max_attempts,
-            &mut state,
-            &mut window,
-            &metrics,
-        );
+        closer.close(buffer, &mut state, &mut window);
     }
     metrics.watermark_lag_s.set(0.0);
     state.cursor = feed_len;
+    ingest.set_items(feed_len);
+    ingest.finish();
 
+    let mut assemble = registry.span("study/stream/assemble");
     // Stream-stage accounting: same ledger surface and budget law as
     // every batch stage.
     let mut stream_ledger = Quarantine::default();
@@ -268,27 +290,17 @@ pub fn run_stream(
     stream_ledger.record_stage_metrics(&registry, "stream", feed_len as usize);
     check_budget("stream", state.stream_quarantine.len(), feed_len as usize, error_budget)?;
 
-    span.set_items(feed_len);
-    span.finish();
-
     // Assemble per-session products in session-index order and hand the
     // rest of the pipeline to the unchanged batch stages.
-    let session_count = sim.store.sessions().len();
     let mut segments: Vec<TripSegment> = Vec::new();
     let mut stage_quarantine: Vec<QuarantineEntry> = Vec::new();
-    for si in 0..session_count as u32 {
-        let products = match state.closed.remove(&si) {
+    for (si, session) in sessions.iter().enumerate() {
+        let products = match state.closed.remove(&(si as u32)) {
             Some(products) => products,
             // A session none of whose records survived the feed (every
             // point garbled): clean its empty reassembly so session
             // totals stay aligned with the batch shape.
-            None => clean_one(
-                &rebuild_session(&sim.store.sessions()[si as usize], Vec::new()),
-                &sim.config,
-                panic_one_in,
-                max_attempts,
-                &mut state.totals,
-            ),
+            None => closer.clean(&rebuild_session(session, Vec::new()), &mut state.totals),
         };
         segments.extend(products.segments);
         if let Some(entry) = products.quarantine {
@@ -296,6 +308,10 @@ pub fn run_stream(
         }
     }
     stage_quarantine.append(&mut state.stream_quarantine);
+    assemble.set_items(sessions.len() as u64);
+    assemble.finish();
+    span.set_items(feed_len);
+    span.finish();
 
     let report = StreamReport {
         feed: feed_stats,
@@ -351,97 +367,79 @@ fn rebuild_session(original: &RawTrip, points: Vec<RoutePoint>) -> RawTrip {
     session
 }
 
-/// Replicates the batch clean task for one session: same panic injection,
-/// same anomaly check, same quarantine entry shape (including the retry
-/// suffix the executor would add). Quarantined sessions contribute no
-/// segments and no totals — exactly like a failed batch task slot.
-fn clean_one(
-    session: &RawTrip,
-    config: &StudyConfig,
+/// Everything closing a trip reads: the stored sessions, the study
+/// config, the O-D analyzer and the chaos clean-task policy.
+struct Closer<'a> {
+    sessions: &'a [RawTrip],
+    config: &'a StudyConfig,
+    analyzer: OdAnalyzer,
     panic_one_in: u64,
     max_attempts: u32,
-    totals: &mut CleaningTotals,
-) -> SessionProducts {
-    if panic_one_in > 0 && session.id.0.is_multiple_of(panic_one_in) {
-        return SessionProducts {
-            segments: Vec::new(),
-            quarantine: Some(QuarantineEntry {
-                stage: "clean".into(),
-                record: session.id.0,
-                reason: QuarantineReason::TaskPanic,
-                detail: format!("chaos: injected clean-task panic (trip {})", session.id.0),
-            }),
-        };
-    }
-    let cleaned = clean_session(session, &config.cleaning);
-    match session_anomaly(&cleaned, &config.fault.anomaly) {
-        Some((kind, detail)) => SessionProducts {
-            segments: Vec::new(),
-            quarantine: Some(QuarantineEntry {
-                stage: "clean".into(),
-                record: session.id.0,
-                reason: kind.into(),
-                detail: if max_attempts > 1 {
-                    format!("{detail} (after {max_attempts} attempts)")
-                } else {
-                    detail
-                },
-            }),
-        },
-        None => {
-            totals.absorb(&cleaned.stats);
-            SessionProducts { segments: cleaned.segments, quarantine: None }
-        }
-    }
+    metrics: &'a StreamMetrics,
 }
 
-/// Processes one watermark-closed trip: incremental clean, then live O-D
-/// extraction and map-matching into the sliding window.
-#[allow(clippy::too_many_arguments)] // the live stage-2..4 working set
-fn close_trip(
-    buffer: TripBuffer,
-    sessions: &[RawTrip],
-    sim: &taxitrace_core::Simulated,
-    analyzer: &OdAnalyzer,
-    index: &CandidateIndex,
-    scratch: &mut MatchScratch,
-    matching_config: &taxitrace_matching::MatchConfig,
-    panic_one_in: u64,
-    max_attempts: u32,
-    state: &mut StreamState,
-    window: &mut SlidingWindow,
-    metrics: &StreamMetrics,
-) {
-    let si = buffer.session_index;
-    let last_event_s = buffer.last_event_s;
-    let points: Vec<RoutePoint> = buffer.points.into_values().collect();
-    let session = rebuild_session(&sessions[si as usize], points);
-    let products = clean_one(&session, &sim.config, panic_one_in, max_attempts, &mut state.totals);
-    metrics.trips_closed.inc();
-
-    if products.quarantine.is_none() && !products.segments.is_empty() {
-        // Live incremental matching: feeds the window, then is discarded
-        // — the batch stages recompute it over the full segment set.
-        for t in analyzer.transitions(&products.segments) {
-            if !t.post_filtered {
-                continue;
+impl Closer<'_> {
+    /// Replicates the batch clean task for one session: same panic
+    /// injection, same anomaly check, same quarantine entry shape
+    /// (including the retry suffix the executor would add). Quarantined
+    /// sessions contribute no segments and no totals — exactly like a
+    /// failed batch task slot.
+    fn clean(&self, session: &RawTrip, totals: &mut CleaningTotals) -> SessionProducts {
+        if self.panic_one_in > 0 && session.id.0.is_multiple_of(self.panic_one_in) {
+            return SessionProducts {
+                segments: Vec::new(),
+                quarantine: Some(QuarantineEntry {
+                    stage: "clean".into(),
+                    record: session.id.0,
+                    reason: QuarantineReason::TaskPanic,
+                    detail: format!("chaos: injected clean-task panic (trip {})", session.id.0),
+                }),
+            };
+        }
+        let cleaned = clean_session(session, &self.config.cleaning);
+        match session_anomaly(&cleaned, &self.config.fault.anomaly) {
+            Some((kind, detail)) => SessionProducts {
+                segments: Vec::new(),
+                quarantine: Some(QuarantineEntry {
+                    stage: "clean".into(),
+                    record: session.id.0,
+                    reason: kind.into(),
+                    detail: if self.max_attempts > 1 {
+                        format!("{detail} (after {} attempts)", self.max_attempts)
+                    } else {
+                        detail
+                    },
+                }),
+            },
+            None => {
+                totals.absorb(&cleaned.stats);
+                SessionProducts { segments: cleaned.segments, quarantine: None }
             }
-            let seg = &products.segments[t.segment_index];
-            if transition_anomaly(seg, &t).is_some() {
-                continue;
-            }
-            let (record, _) = fuse_transition(
-                &sim.city,
-                &sim.weather,
-                &sim.config,
-                matching_config,
-                index,
-                scratch,
-                seg,
-                &t,
-            );
-            window.push(last_event_s, record.pair, metrics);
         }
     }
-    state.closed.insert(si, products);
+
+    /// Processes one watermark-closed trip: incremental clean, then its
+    /// O-D transitions into the sliding window. The window admits exactly
+    /// the transitions stage 4 would fuse (post-filtered, no transition
+    /// anomaly), keyed by their O-D pair; matching them is left to the
+    /// batch stage at assembly.
+    fn close(&self, buffer: TripBuffer, state: &mut StreamState, window: &mut SlidingWindow) {
+        let si = buffer.session_index;
+        let last_event_s = buffer.last_event_s;
+        let points: Vec<RoutePoint> = buffer.points.into_iter().map(|(_, p)| p).collect();
+        let session = rebuild_session(&self.sessions[si as usize], points);
+        let products = self.clean(&session, &mut state.totals);
+        self.metrics.trips_closed.inc();
+
+        if products.quarantine.is_none() && !products.segments.is_empty() {
+            for t in self.analyzer.transitions(&products.segments) {
+                if t.post_filtered
+                    && transition_anomaly(&products.segments[t.segment_index], &t).is_none()
+                {
+                    window.push(last_event_s, t.pair_label(), self.metrics);
+                }
+            }
+        }
+        state.closed.insert(si, products);
+    }
 }

@@ -19,6 +19,8 @@
 //! * **burst**: arrival is quantized down to a coarse boundary, so many
 //!   records hit the ingest queue in the same instant (backpressure test);
 //! * **garble**: the position becomes non-finite (a malformed record);
+//!   the flag is applied when the point is resolved, see
+//!   [`FeedRecord::point`];
 //! * **stall**: the feeder thread pauses on this record (liveness test —
 //!   no data is changed).
 
@@ -37,8 +39,11 @@ pub const FLAG_STALL: u8 = 1 << 3;
 /// window arrive "at once".
 const BURST_QUANTUM_S: i64 = 300;
 
-/// One route point as the ingest queue sees it.
-#[derive(Debug, Clone)]
+/// One route point as the ingest queue sees it. The record names its
+/// point by `(session_index, point_index)` instead of carrying a copy, so
+/// the feed stays a few bytes per point; [`FeedRecord::point`] resolves
+/// it against the sessions the feed was built from.
+#[derive(Debug, Clone, Copy)]
 pub struct FeedRecord {
     /// Index of the originating session in store order.
     pub session_index: u32,
@@ -48,7 +53,21 @@ pub struct FeedRecord {
     pub arrival_s: i64,
     /// Chaos flags (`FLAG_*`), zero on a healthy feed.
     pub flags: u8,
-    pub point: RoutePoint,
+}
+
+impl FeedRecord {
+    /// The route point this record carries, resolved from the session
+    /// list passed to [`build_feed`]. A garbled record's position comes
+    /// back non-finite.
+    pub fn point(&self, sessions: &[RawTrip]) -> RoutePoint {
+        let mut point =
+            sessions[self.session_index as usize].points[self.point_index as usize];
+        if self.flags & FLAG_GARBLED != 0 {
+            point.pos.x = f64::NAN;
+            point.geo.lon = f64::NAN;
+        }
+        point
+    }
 }
 
 /// What the chaos plan did to the feed, for the stream report.
@@ -65,7 +84,8 @@ pub struct FeedStats {
 ///
 /// Deterministic for a fixed session list and plan: chaos draws are keyed
 /// by the record's position in session-major enumeration order, and the
-/// final interleave is a stable sort on `(arrival_s, session, point)`.
+/// final interleave sorts on `(arrival_s, session, point)`, a key no two
+/// records share.
 pub fn build_feed(sessions: &[RawTrip], plan: Option<&FaultPlan>) -> (Vec<FeedRecord>, FeedStats) {
     let mut stats = FeedStats::default();
     let total: usize = sessions.iter().map(|s| s.points.len()).sum();
@@ -81,7 +101,6 @@ pub fn build_feed(sessions: &[RawTrip], plan: Option<&FaultPlan>) -> (Vec<FeedRe
                 point_index: pi as u32,
                 arrival_s: frontier,
                 flags: 0,
-                point: *point,
             };
             if let Some(plan) = faulting_plan {
                 apply_stream_faults(plan, record_index, &mut record, &mut stats);
@@ -91,9 +110,10 @@ pub fn build_feed(sessions: &[RawTrip], plan: Option<&FaultPlan>) -> (Vec<FeedRe
         }
     }
     stats.records = feed.len() as u64;
-    // Stable: records sharing an arrival instant (bursts) keep
-    // session-major order, so replays are byte-identical.
-    feed.sort_by_key(|r| (r.arrival_s, r.session_index, r.point_index));
+    // The key is unique per record, so an unstable sort gives the one
+    // order a stable sort would: records sharing an arrival instant
+    // (bursts) keep session-major order, and replays are byte-identical.
+    feed.sort_unstable_by_key(|r| (r.arrival_s, r.session_index, r.point_index));
     (feed, stats)
 }
 
@@ -110,8 +130,6 @@ fn apply_stream_faults(
     let mut rng = plan.stream_rng(record_index);
     if one_in(plan.stream_garble_one_in, &mut rng) {
         record.flags |= FLAG_GARBLED;
-        record.point.pos.x = f64::NAN;
-        record.point.geo.lon = f64::NAN;
         stats.garbled += 1;
     } else if one_in(plan.stream_late_one_in, &mut rng) {
         record.flags |= FLAG_LATE;
@@ -160,7 +178,7 @@ mod tests {
         }
         // Arrival never precedes the event it carries.
         for r in &feed {
-            assert!(r.arrival_s >= r.point.timestamp.secs());
+            assert!(r.arrival_s >= r.point(&sessions).timestamp.secs());
         }
     }
 
@@ -189,6 +207,17 @@ mod tests {
         let (b, sb) = build_feed(&sessions, Some(&plan));
         assert_eq!(sa, sb);
         assert!(sa.garbled > 0 && sa.late_injected > 0 && sa.bursts > 0);
+        // Garbling shows up only when the point is resolved.
+        for r in &a {
+            let stored = sessions[r.session_index as usize].points[r.point_index as usize];
+            let resolved = r.point(&sessions);
+            if r.flags & FLAG_GARBLED != 0 {
+                assert!(resolved.pos.x.is_nan() && resolved.geo.lon.is_nan());
+                assert_eq!(resolved.timestamp, stored.timestamp);
+            } else {
+                assert_eq!(resolved, stored);
+            }
+        }
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!((x.session_index, x.point_index, x.arrival_s, x.flags), (

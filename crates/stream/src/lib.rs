@@ -5,8 +5,9 @@
 //! would see it — individual route points in arrival order, interleaved
 //! across the fleet — through a bounded queue with explicit
 //! backpressure, closes trips against an event-time watermark, cleans
-//! and map-matches each trip the moment it closes, and keeps a sliding
-//! window of O-D statistics while the stream runs.
+//! each trip and extracts its O-D transitions the moment it closes, and
+//! keeps a sliding window of O-D statistics while the stream runs. Map
+//! matching runs once, in the batch stage at assembly.
 //!
 //! The headline property is **batch parity**: at end of stream the
 //! accumulated per-session products are assembled through the unchanged
@@ -17,8 +18,8 @@
 //! * late-past-watermark and malformed records land in the quarantine
 //!   ledger under the `stream` stage's error budget — never a silent
 //!   drop;
-//! * a full queue blocks the feeder (typed backpressure, counted by
-//!   `stream.backpressure_stalls`);
+//! * a full queue blocks the feeder (typed backpressure, counted per
+//!   blocked chunk by `stream.backpressure_stalls`);
 //! * the stream cursor checkpoints into a TTCK container, so a
 //!   mid-stream kill resumes byte-identically;
 //! * `FaultPlan` gains seeded stream faults (mid-stream kill, late-data
@@ -68,8 +69,10 @@ pub struct StreamConfig {
     /// it, seconds. Must exceed the worst in-trip silent gap (the
     /// simulator caps those at 1400 s) or healthy trips close early.
     pub idle_close_s: i64,
-    /// Bounded ingest queue capacity, records. A full queue blocks the
-    /// feeder — backpressure, not loss.
+    /// Bounded ingest queue capacity, records. Records cross the queue in
+    /// chunks of `clamp(queue_capacity / 8, 1, 256)`; no more than this
+    /// many are ever queued, and a full queue blocks the feeder —
+    /// backpressure, not loss.
     pub queue_capacity: usize,
     /// Sliding statistics window over event time, seconds.
     pub window_s: i64,
@@ -122,7 +125,7 @@ pub struct StreamReport {
     pub late_dropped: u64,
     /// Trips closed by watermark or end-of-stream flush.
     pub trips_closed: u64,
-    /// Times the feeder blocked on a full queue.
+    /// Times the feeder blocked on a full queue, once per blocked chunk.
     pub backpressure_stalls: u64,
     /// Injected feeder stalls honoured.
     pub feeder_stalls: u64,
@@ -132,7 +135,9 @@ pub struct StreamReport {
     pub resumes: u64,
     /// Cursor this process resumed from, if it did.
     pub resumed_from: Option<u64>,
-    /// Deepest the ingest queue got.
+    /// Deepest the ingest queue got, in records, as the processor saw it
+    /// after taking a chunk: at most `queue_capacity` queued plus the one
+    /// chunk the feeder may have counted before handing it off.
     pub max_queue_depth: u64,
     /// Most transitions simultaneously inside the sliding window.
     pub window_peak_transitions: u64,

@@ -35,7 +35,8 @@ pub struct StreamMetrics {
     pub trips_closed: Counter,
     /// Records flagged as part of an injected arrival burst.
     pub bursts: Counter,
-    /// Times the feeder found the ingest queue full and had to block.
+    /// Times the feeder found the ingest queue full and had to block,
+    /// once per blocked chunk.
     pub backpressure_stalls: Counter,
     /// Injected feeder stalls honoured.
     pub feeder_stalls: Counter,
@@ -47,7 +48,7 @@ pub struct StreamMetrics {
     pub queue_depth: Gauge,
     /// Frontier minus the stalest open trip's last event, seconds.
     pub watermark_lag_s: Gauge,
-    /// Fused transitions inside the sliding window.
+    /// O-D transitions inside the sliding window.
     pub window_transitions: Gauge,
     /// Distinct O-D pairs inside the sliding window.
     pub window_od_pairs: Gauge,

@@ -22,7 +22,9 @@
 //! always produces the same close sequence, which is what lets the
 //! stream-cursor checkpoint rebuild open-trip state by replay.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 
 use taxitrace_traces::RoutePoint;
 
@@ -41,9 +43,28 @@ pub struct TripBuffer {
     pub session_index: u32,
     /// Largest event timestamp seen from this trip, Unix seconds.
     pub last_event_s: i64,
-    /// Points keyed by their within-session point index: duplicates
-    /// collapse first-wins, and iteration yields arrival order.
-    pub points: BTreeMap<u32, RoutePoint>,
+    /// `(point index, point)` sorted by the within-session point index,
+    /// one entry per index: duplicates collapse first-wins, and iteration
+    /// yields arrival order.
+    pub points: Vec<(u32, RoutePoint)>,
+}
+
+impl TripBuffer {
+    /// Buffers a point unless its index is already present. An in-order
+    /// point (the healthy case) is a plain append.
+    fn insert(&mut self, point_index: u32, point: RoutePoint) -> bool {
+        let at = match self.points.last() {
+            Some(&(last, _)) if last >= point_index => {
+                match self.points.binary_search_by_key(&point_index, |&(pi, _)| pi) {
+                    Ok(_) => return false,
+                    Err(at) => at,
+                }
+            }
+            _ => self.points.len(),
+        };
+        self.points.insert(at, (point_index, point));
+        true
+    }
 }
 
 /// What [`WatermarkMachine::offer`] did with a record.
@@ -58,17 +79,37 @@ pub enum Disposition {
     LatePastWatermark,
 }
 
+/// Lifecycle of one session inside the machine.
+#[derive(Debug, Default)]
+enum Slot {
+    /// No record seen yet.
+    #[default]
+    Unseen,
+    Open(TripBuffer),
+    Closed,
+}
+
 /// Deterministic single-threaded watermark state machine.
+///
+/// Session indices are dense, so per-session state lives in a `Vec`. The
+/// close schedule is keyed lazily: each open trip has exactly one entry
+/// in `close_index`, keyed by a *lower bound* on its last event (the
+/// value when the entry was pushed). Raising a trip's last event leaves
+/// its entry stale; a stale entry is re-keyed only when it reaches the
+/// front. Since every key bounds its trip from below, an exact front is
+/// the true `(last_event, session)` minimum, so trips close in the same
+/// order an eagerly re-keyed index gives, and `lag_s` is exact whenever
+/// the front is (which [`Self::drain_closable`] leaves it).
 #[derive(Debug)]
 pub struct WatermarkMachine {
     cfg: WatermarkConfig,
     /// Event-time frontier: max event timestamp accepted so far.
     max_event_s: Option<i64>,
-    open: BTreeMap<u32, TripBuffer>,
-    /// Close schedule: `(last_event_s, session_index)` per open trip.
-    /// Ordered, so trips close oldest-frontier-first, deterministically.
-    close_index: BTreeSet<(i64, u32)>,
-    closed: BTreeSet<u32>,
+    sessions: Vec<Slot>,
+    open: usize,
+    /// Close schedule: `(last_event_s lower bound, session_index)` per
+    /// open trip, smallest first.
+    close_index: BinaryHeap<Reverse<(i64, u32)>>,
 }
 
 impl WatermarkMachine {
@@ -76,9 +117,9 @@ impl WatermarkMachine {
         Self {
             cfg,
             max_event_s: None,
-            open: BTreeMap::new(),
-            close_index: BTreeSet::new(),
-            closed: BTreeSet::new(),
+            sessions: Vec::new(),
+            open: 0,
+            close_index: BinaryHeap::new(),
         }
     }
 
@@ -94,21 +135,23 @@ impl WatermarkMachine {
 
     /// Open trips still buffering points.
     pub fn open_count(&self) -> usize {
-        self.open.len()
+        self.open
     }
 
     /// Seconds between the frontier and the stalest open trip — the
-    /// `stream.watermark_lag_s` gauge.
+    /// `stream.watermark_lag_s` gauge. Exact after every
+    /// [`Self::drain_closable`]; in between, an offer that raised the
+    /// stalest trip's last event can leave it reading high.
     pub fn lag_s(&self) -> i64 {
-        match (self.max_event_s, self.close_index.first()) {
-            (Some(frontier), Some(&(oldest, _))) => frontier.saturating_sub(oldest),
+        match (self.max_event_s, self.close_index.peek()) {
+            (Some(frontier), Some(&Reverse((oldest, _)))) => frontier.saturating_sub(oldest),
             _ => 0,
         }
     }
 
     /// Has this trip already been closed?
     pub fn is_closed(&self, session_index: u32) -> bool {
-        self.closed.contains(&session_index)
+        matches!(self.sessions.get(session_index as usize), Some(Slot::Closed))
     }
 
     /// Offers one record. The caller must reject malformed records before
@@ -120,45 +163,50 @@ impl WatermarkMachine {
         event_s: i64,
         point: RoutePoint,
     ) -> Disposition {
-        if self.closed.contains(&session_index) {
+        let si = session_index as usize;
+        if si >= self.sessions.len() {
+            self.sessions.resize_with(si + 1, Slot::default);
+        }
+        let slot = &mut self.sessions[si];
+        if matches!(slot, Slot::Closed) {
             // A record this late does not advance the watermark either:
             // one day-old timestamp must not catapult every live trip
             // past its idle gap.
             return Disposition::LatePastWatermark;
         }
         self.max_event_s = Some(self.max_event_s.map_or(event_s, |m| m.max(event_s)));
-        let buf = self.open.entry(session_index).or_insert_with(|| {
-            self.close_index.insert((event_s, session_index));
-            TripBuffer { session_index, last_event_s: event_s, points: BTreeMap::new() }
-        });
-        if buf.points.contains_key(&point_index) {
+        if matches!(slot, Slot::Unseen) {
+            self.close_index.push(Reverse((event_s, session_index)));
+            self.open += 1;
+            *slot = Slot::Open(TripBuffer {
+                session_index,
+                last_event_s: event_s,
+                points: Vec::new(),
+            });
+        }
+        // `Closed` was answered above, so the slot is open here.
+        let Slot::Open(buf) = slot else { return Disposition::LatePastWatermark };
+        if !buf.insert(point_index, point) {
             return Disposition::Duplicate;
         }
-        if event_s > buf.last_event_s {
-            self.close_index.remove(&(buf.last_event_s, session_index));
-            buf.last_event_s = event_s;
-            self.close_index.insert((event_s, session_index));
-        }
-        buf.points.insert(point_index, point);
+        // The close-index entry keeps its old key: a lower bound, re-keyed
+        // lazily once it reaches the front.
+        buf.last_event_s = buf.last_event_s.max(event_s);
         Disposition::Buffered
     }
 
     /// Releases every trip whose idle gap the watermark has passed, in
-    /// deterministic `(last_event, session)` order.
+    /// deterministic `(last_event, session)` order. Leaves the front of
+    /// the close index exact.
     pub fn drain_closable(&mut self) -> Vec<TripBuffer> {
         let Some(watermark) = self.watermark_s() else { return Vec::new() };
         let mut out = Vec::new();
-        while let Some(&(last_event, si)) = self.close_index.first() {
+        while let Some((last_event, si)) = self.exact_front() {
             if last_event.saturating_add(self.cfg.idle_close_s) >= watermark {
                 break;
             }
-            self.close_index.pop_first();
-            self.closed.insert(si);
-            // The close index tracks exactly the open trips, so the
-            // remove always hits; a desynced entry simply yields nothing.
-            if let Some(buf) = self.open.remove(&si) {
-                out.push(buf);
-            }
+            self.close_index.pop();
+            out.extend(self.close(si));
         }
         out
     }
@@ -166,13 +214,40 @@ impl WatermarkMachine {
     /// End of stream: closes every remaining open trip, same order.
     pub fn flush(&mut self) -> Vec<TripBuffer> {
         let mut out = Vec::new();
-        while let Some((_, si)) = self.close_index.pop_first() {
-            self.closed.insert(si);
-            if let Some(buf) = self.open.remove(&si) {
-                out.push(buf);
-            }
+        while let Some((_, si)) = self.exact_front() {
+            self.close_index.pop();
+            out.extend(self.close(si));
         }
         out
+    }
+
+    /// Re-keys stale entries at the front until the front entry's key is
+    /// its trip's last event, and returns that entry.
+    fn exact_front(&mut self) -> Option<(i64, u32)> {
+        loop {
+            let mut front = self.close_index.peek_mut()?;
+            let Reverse((key, si)) = *front;
+            match self.sessions.get(si as usize) {
+                Some(Slot::Open(buf)) if buf.last_event_s == key => return Some((key, si)),
+                Some(Slot::Open(buf)) => *front = Reverse((buf.last_event_s, si)),
+                // The close index tracks exactly the open trips; a
+                // desynced entry is simply dropped.
+                _ => {
+                    PeekMut::pop(front);
+                }
+            }
+        }
+    }
+
+    fn close(&mut self, session_index: u32) -> Option<TripBuffer> {
+        let slot = self.sessions.get_mut(session_index as usize)?;
+        match std::mem::replace(slot, Slot::Closed) {
+            Slot::Open(buf) => {
+                self.open -= 1;
+                Some(buf)
+            }
+            _ => None,
+        }
     }
 }
 
@@ -239,7 +314,7 @@ mod tests {
         assert_eq!(m.offer(0, 0, 1000, second), Disposition::Duplicate);
         let closed = m.flush();
         assert_eq!(closed[0].points.len(), 1);
-        assert_eq!(closed[0].points[&0].speed_kmh, 0.0);
+        assert_eq!(closed[0].points[0].1.speed_kmh, 0.0);
     }
 
     #[test]

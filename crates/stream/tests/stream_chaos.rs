@@ -2,12 +2,13 @@
 //! accounted-for outcomes — a mid-stream kill resumes byte-identically
 //! from the stream cursor, a late-data flood blows the stream stage's
 //! error budget, malformed records land in quarantine instead of
-//! vanishing, and a starved queue applies backpressure without loss.
+//! vanishing, a starved queue applies backpressure without loss, and the
+//! chunked hand-off gives the same run at every queue capacity.
 
 use std::path::PathBuf;
 
 use taxitrace_core::{Error, FaultPlan, StudyConfig, StudyOutput};
-use taxitrace_stream::{run_stream, StreamConfig};
+use taxitrace_stream::{run_stream, StreamConfig, StreamReport};
 
 fn config(plan: FaultPlan) -> StudyConfig {
     let mut config = StudyConfig::quick(23);
@@ -145,4 +146,70 @@ fn starved_queue_applies_backpressure_without_loss() {
         "queue depth {} exceeds bounded capacity",
         run.report.max_queue_depth
     );
+}
+
+/// Records per queue chunk, as documented on `StreamConfig::queue_capacity`.
+fn chunk_len(capacity: usize) -> usize {
+    (capacity / 8).clamp(1, 256)
+}
+
+/// A report with its scheduling-dependent fields (`backpressure_stalls`,
+/// `max_queue_depth`) zeroed.
+fn deterministic(r: &StreamReport) -> StreamReport {
+    StreamReport { backpressure_stalls: 0, max_queue_depth: 0, ..*r }
+}
+
+#[test]
+fn every_queue_capacity_gives_the_same_run() {
+    let plan = FaultPlan {
+        stream_burst_one_in: 10,
+        stream_stall_one_in: 400,
+        ..FaultPlan::default()
+    };
+    let default_capacity = StreamConfig::default().queue_capacity;
+    let runs: Vec<_> = [1, 2, 7, default_capacity]
+        .into_iter()
+        .map(|capacity| {
+            let stream_cfg = StreamConfig { queue_capacity: capacity, ..StreamConfig::default() };
+            let run = run_stream(config(plan.clone()), &stream_cfg, None).expect("bursty run");
+            let bound = (capacity + chunk_len(capacity)) as u64;
+            assert!(
+                run.report.max_queue_depth <= bound,
+                "capacity {capacity}: queue depth {} exceeds capacity + chunk = {bound}",
+                run.report.max_queue_depth
+            );
+            run
+        })
+        .collect();
+    let first = &runs[0];
+    assert!(first.report.feed.bursts > 0 && first.report.feeder_stalls > 0);
+    for run in &runs[1..] {
+        assert_eq!(deterministic(&run.report), deterministic(&first.report));
+        assert_same_output(&first.output, &run.output);
+    }
+}
+
+#[test]
+fn kill_inside_a_chunk_resumes_byte_identically() {
+    let stream_cfg = StreamConfig::default();
+    let chunk = chunk_len(stream_cfg.queue_capacity) as u64;
+    assert!(chunk > 1, "the default queue must move records in chunks");
+    let reference = run_stream(config(FaultPlan::default()), &stream_cfg, None)
+        .expect("reference run");
+    let kill_at = 5 * chunk + chunk / 2 + 1;
+    assert_ne!(kill_at % chunk, 0);
+    assert!(kill_at < reference.report.feed.records);
+
+    let plan = FaultPlan { stream_kill_after_records: kill_at, ..FaultPlan::default() };
+    let dir = tmp_dir("chunk-kill");
+    match run_stream(config(plan.clone()), &stream_cfg, Some(&dir)) {
+        Err(Error::InjectedKill { stage }) => assert_eq!(stage, format!("stream@{kill_at}")),
+        other => panic!("expected injected kill, got {other:?}"),
+    }
+    let resumed = run_stream(config(plan), &stream_cfg, Some(&dir)).expect("resumed run");
+    assert_eq!(resumed.report.resumed_from, Some(kill_at));
+    assert_eq!(resumed.report.records_total, reference.report.records_total);
+    assert_eq!(resumed.report.trips_closed, reference.report.trips_closed);
+    assert_same_output(&reference.output, &resumed.output);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,6 +3,11 @@
 //! duplicated records — the watermark machine must never close a trip
 //! early (no record becomes late), must collapse duplicates first-wins,
 //! and must close trips in the same deterministic sequence every run.
+//! Under unbounded skew (trips that close early, records that arrive
+//! late, duplicate floods) it must behave exactly like the reference
+//! machine below: the ordered-map design it replaced.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use taxitrace_geo::{GeoPoint, Point};
@@ -164,5 +169,151 @@ proptest! {
         let (d2, c2) = run(&feed, &dups);
         prop_assert_eq!(d1, d2);
         prop_assert_eq!(c1, c2);
+    }
+}
+
+/// The reference machine: open trips in a `BTreeMap`, closed trips in a
+/// `BTreeSet`, and a close index re-keyed eagerly on every new last
+/// event. Slower, and obviously right.
+struct Reference {
+    cfg: WatermarkConfig,
+    max_event_s: Option<i64>,
+    open: BTreeMap<u32, (i64, BTreeMap<u32, RoutePoint>)>,
+    close_index: BTreeSet<(i64, u32)>,
+    closed: BTreeSet<u32>,
+}
+
+/// A closed trip as both machines report it: session, last event and
+/// points in point-index order.
+type Closed = (u32, i64, Vec<(u32, RoutePoint)>);
+
+impl Reference {
+    fn new(cfg: WatermarkConfig) -> Self {
+        Self {
+            cfg,
+            max_event_s: None,
+            open: BTreeMap::new(),
+            close_index: BTreeSet::new(),
+            closed: BTreeSet::new(),
+        }
+    }
+
+    fn lag_s(&self) -> i64 {
+        match (self.max_event_s, self.close_index.first()) {
+            (Some(frontier), Some(&(oldest, _))) => frontier.saturating_sub(oldest),
+            _ => 0,
+        }
+    }
+
+    fn offer(&mut self, si: u32, pi: u32, event_s: i64, point: RoutePoint) -> Disposition {
+        if self.closed.contains(&si) {
+            return Disposition::LatePastWatermark;
+        }
+        self.max_event_s = Some(self.max_event_s.map_or(event_s, |m| m.max(event_s)));
+        let (last_event_s, points) = self.open.entry(si).or_insert_with(|| {
+            self.close_index.insert((event_s, si));
+            (event_s, BTreeMap::new())
+        });
+        if points.contains_key(&pi) {
+            return Disposition::Duplicate;
+        }
+        if event_s > *last_event_s {
+            self.close_index.remove(&(*last_event_s, si));
+            *last_event_s = event_s;
+            self.close_index.insert((event_s, si));
+        }
+        points.insert(pi, point);
+        Disposition::Buffered
+    }
+
+    fn close(&mut self, si: u32) -> Option<Closed> {
+        self.closed.insert(si);
+        let (last_event_s, points) = self.open.remove(&si)?;
+        Some((si, last_event_s, points.into_iter().collect()))
+    }
+
+    fn drain_closable(&mut self) -> Vec<Closed> {
+        let Some(frontier) = self.max_event_s else { return Vec::new() };
+        let watermark = frontier.saturating_sub(self.cfg.lateness_s);
+        let mut out = Vec::new();
+        while let Some(&(last_event, si)) = self.close_index.first() {
+            if last_event.saturating_add(self.cfg.idle_close_s) >= watermark {
+                break;
+            }
+            self.close_index.pop_first();
+            out.extend(self.close(si));
+        }
+        out
+    }
+
+    fn flush(&mut self) -> Vec<Closed> {
+        let mut out = Vec::new();
+        while let Some((_, si)) = self.close_index.pop_first() {
+            out.extend(self.close(si));
+        }
+        out
+    }
+}
+
+fn closed(bufs: Vec<taxitrace_stream::TripBuffer>) -> Vec<Closed> {
+    bufs.into_iter().map(|b| (b.session_index, b.last_event_s, b.points)).collect()
+}
+
+/// Trips whose gaps can exceed `IDLE_CLOSE_S + LATENESS_S`, so they close
+/// early and their later records arrive past the watermark.
+fn wild_trip_spec() -> impl Strategy<Value = TripSpec> {
+    (
+        0i64..2_000,
+        proptest::collection::vec(0i64..400, 0..30),
+        proptest::collection::vec(proptest::bool::ANY, 0..30),
+    )
+        .prop_map(|(start_s, gaps, swaps)| TripSpec { start_s, gaps, swaps })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Differential: the dense machine and the reference agree on every
+    /// disposition, every close (session, last event and points, so
+    /// first-wins is checked on content), and `lag_s()` after every
+    /// drain. Session indices are spread out so unseen slots sit between
+    /// live ones; duplicates come in floods of up to three re-offers with
+    /// different payloads; a tail of re-offers lands after most trips
+    /// closed.
+    #[test]
+    fn dense_machine_matches_reference(
+        trips in proptest::collection::vec(wild_trip_spec(), 1..8),
+        dups in proptest::collection::vec(0usize..4, 0..96),
+        tail in proptest::collection::vec(0usize..1_000, 0..24),
+    ) {
+        let cfg = WatermarkConfig { lateness_s: LATENESS_S, idle_close_s: IDLE_CLOSE_S };
+        let mut dense = WatermarkMachine::new(cfg);
+        let mut reference = Reference::new(cfg);
+        let feed: Vec<(u32, u32, i64)> =
+            feed(&trips).into_iter().map(|(si, pi, ts)| (si * 3 + 1, pi, ts)).collect();
+        let mut offers: Vec<(u32, u32, i64)> = Vec::new();
+        for (i, &record) in feed.iter().enumerate() {
+            for _ in 0..=dups.get(i).copied().unwrap_or(0) {
+                offers.push(record);
+            }
+        }
+        if !feed.is_empty() {
+            offers.extend(tail.iter().map(|&k| feed[k % feed.len()]));
+        }
+        for (ordinal, &(si, pi, ts)) in offers.iter().enumerate() {
+            let mut p = point(si, ts);
+            p.speed_kmh = ordinal as f64;
+            prop_assert_eq!(dense.offer(si, pi, ts, p), reference.offer(si, pi, ts, p));
+            prop_assert_eq!(closed(dense.drain_closable()), reference.drain_closable());
+            prop_assert_eq!(dense.lag_s(), reference.lag_s());
+            prop_assert_eq!(dense.frontier_s(), reference.max_event_s);
+            prop_assert_eq!(dense.open_count(), reference.open.len());
+        }
+        prop_assert_eq!(closed(dense.flush()), reference.flush());
+        prop_assert_eq!(dense.lag_s(), 0);
+        prop_assert_eq!(dense.open_count(), 0);
+        for &(si, _, _) in &feed {
+            prop_assert!(dense.is_closed(si));
+        }
     }
 }

@@ -435,27 +435,32 @@ ref_fp=$(sed -n 's/^study fingerprint \(0x[0-9a-f]*\)$/\1/p' "$sref")
     cat "$sref" >&2
     exit 1
 }
-cat > "$splan" <<'PLAN'
+# Two kill points: 5000 and 4999 fall at different offsets inside a
+# 128-record queue chunk.
+for kill_at in 5000 4999; do
+rm -rf "$sckdir"
+mkdir -p "$sckdir"
+cat > "$splan" <<PLAN
 seed 9
-stream_kill_after_records 5000
+stream_kill_after_records $kill_at
 PLAN
 ./target/release/repro --scale 0.05 --chaos "$splan" --checkpoint-dir "$sckdir" \
     --metrics json --metrics-out "$smetrics" stream > "$skill" 2> "$serrs" || {
-    echo "verify: killed stream run did not complete via resume" >&2
+    echo "verify: stream run killed at $kill_at did not complete via resume" >&2
     cat "$serrs" >&2
     exit 1
 }
 grep -q "resuming from" "$serrs" || {
-    echo "verify: stream kill did not trigger a cursor resume" >&2
+    echo "verify: stream kill at $kill_at did not trigger a cursor resume" >&2
     cat "$serrs" >&2
     exit 1
 }
 kill_fp=$(sed -n 's/^study fingerprint \(0x[0-9a-f]*\)$/\1/p' "$skill")
 [ "$ref_fp" = "$kill_fp" ] || {
-    echo "verify: killed-and-resumed stream fingerprint $kill_fp != uninterrupted $ref_fp" >&2
+    echo "verify: stream killed at $kill_at and resumed: fingerprint $kill_fp != uninterrupted $ref_fp" >&2
     exit 1
 }
-python3 - "$smetrics" <<'EOF'
+python3 - "$smetrics" "$kill_at" <<'EOF'
 import json, sys
 
 m = json.load(open(sys.argv[1]))
@@ -467,10 +472,13 @@ for k in ("stream.records_total", "stream.trips_closed",
 for g in ("stream.queue_depth", "stream.watermark_lag_s"):
     assert g in m["gauges"], f"missing gauge {g!r}"
 paths = {s["path"] for s in m["spans"]}
-assert "study/stream" in paths, "missing study/stream span"
-print(f"stream smoke OK: {counters['stream.records_total']} records, "
+for p in ("study/stream", "study/stream/feed", "study/stream/ingest",
+          "study/stream/assemble"):
+    assert p in paths, f"missing span {p!r}"
+print(f"stream smoke OK (kill at {sys.argv[2]}): {counters['stream.records_total']} records, "
       f"{counters['stream.resumes']} resume(s), fingerprint converged")
 EOF
+done
 rm -rf "$sref" "$skill" "$serrs" "$smetrics" "$splan" "$sckdir"
 
 # Adversarial-ingest smoke: the untrusted-input layer must (a) round-trip

@@ -6,8 +6,8 @@
 
 use std::sync::OnceLock;
 
-use taxi_traces::core::{Study, StudyConfig, StudyOutput};
-use taxi_traces::stream::{run_stream, StreamConfig, StreamRun};
+use taxi_traces::core::{FaultPlan, Study, StudyConfig, StudyOutput};
+use taxi_traces::stream::{run_stream, StreamConfig, StreamReport, StreamRun};
 
 fn config() -> StudyConfig {
     StudyConfig::scaled(7, 0.1)
@@ -89,4 +89,37 @@ fn stream_metrics_present_in_snapshot() {
         s.output.metrics.counter("stream.records_total"),
         Some(s.report.feed.records)
     );
+}
+
+/// The deterministic part of a stream report: `(records_total,
+/// trips_closed, late_dropped, records_malformed,
+/// window_peak_transitions)`.
+fn pinned(r: &StreamReport) -> (u64, u64, u64, u64, u64) {
+    (r.records_total, r.trips_closed, r.late_dropped, r.records_malformed, r.window_peak_transitions)
+}
+
+#[test]
+fn stream_report_pinned() {
+    assert_eq!(pinned(&streamed().report), (69_698, 1_751, 0, 0, 2));
+}
+
+/// Garbled, late and bursty records under a window wide enough to never
+/// evict, so the peak counts every transition the stream admitted.
+#[test]
+fn chaos_stream_report_pinned() {
+    let mut config = config();
+    config.chaos = Some(FaultPlan {
+        seed: 9,
+        stream_garble_one_in: 97,
+        stream_late_one_in: 101,
+        stream_burst_one_in: 53,
+        ..FaultPlan::default()
+    });
+    let wide = StreamConfig { window_s: 1 << 40, ..StreamConfig::default() };
+    let run = run_stream(config, &wide, None).expect("chaos stream runs");
+    assert_eq!(
+        (run.report.feed.garbled, run.report.feed.late_injected, run.report.feed.bursts),
+        (713, 660, 1_322)
+    );
+    assert_eq!(pinned(&run.report), (69_698, 1_751, 646, 713, 19));
 }
