@@ -242,9 +242,9 @@ fn ranges_from_stop_gaps(n: usize, stop_gap: &[bool]) -> Vec<Range<usize>> {
 }
 
 /// The original array-of-structs segmentation, kept verbatim as the
-/// reference implementation: the criterion A/B bench measures it against
-/// [`segment_columns`], and a differential proptest pins both to identical
-/// output. Not used by the production pipeline.
+/// reference implementation: a differential proptest pins it and
+/// [`segment_columns`] to identical output. Not used by the production
+/// pipeline.
 pub fn segment_session_reference(
     points: &[RoutePoint],
     config: &SegmentationConfig,

@@ -16,7 +16,6 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
 use taxitrace_cleaning::{
     clean_session, session_anomaly, AnomalyKind, CleanedSession, CleaningTotals, TripSegment,
 };
@@ -33,32 +32,6 @@ use crate::config::StudyConfig;
 use crate::error::Error;
 use crate::quarantine::{check_budget, Quarantine, QuarantineEntry, QuarantineReason};
 use crate::transitions::TransitionRecord;
-
-/// Wall-clock seconds of each pipeline stage, as a view over the study's
-/// recorded spans (see [`StageTimings::from_metrics`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct StageTimings {
-    /// Fleet simulation plus persisting sessions into the store.
-    pub simulate_s: f64,
-    /// Session cleaning (order repair, segmentation, filters).
-    pub clean_s: f64,
-    /// O-D funnel and corridor-transition extraction.
-    pub od_s: f64,
-    /// Map-matching and attribute fusion of post-filtered transitions.
-    pub match_fuse_s: f64,
-}
-
-impl StageTimings {
-    /// Reads the four stage walls out of a metrics snapshot's spans.
-    pub fn from_metrics(snapshot: &MetricsSnapshot) -> Self {
-        Self {
-            simulate_s: snapshot.span_wall_s("study/simulate"),
-            clean_s: snapshot.span_wall_s("study/clean"),
-            od_s: snapshot.span_wall_s("study/od"),
-            match_fuse_s: snapshot.span_wall_s("study/match_fuse"),
-        }
-    }
-}
 
 /// The observability context threaded through the stages: one registry for
 /// the whole run plus the executor's meter registered on it.
@@ -203,12 +176,8 @@ pub struct StudyOutput {
     /// Dead-letter ledger of every record the run quarantined (empty for
     /// a healthy run; inspect it to understand degraded ones).
     pub quarantine: Quarantine,
-    /// Per-stage wall-clock of this run (a view over `metrics` spans).
-    pub timings: StageTimings,
-    /// Gap-fill path-cache `(hits, misses)` summed over matcher workers.
-    pub cache_stats: (u64, u64),
     /// Full metrics of the run: counters, gauges, histograms and spans
-    /// from every stage, the executor and the matcher caches.
+    /// from every stage, the executor and the matcher.
     pub metrics: MetricsSnapshot,
 }
 
@@ -894,7 +863,7 @@ impl OdSelected {
                 )
             };
         // Match and fuse in parallel, preserving order; each worker keeps
-        // one scratch (search arrays + gap-fill cache) across its share.
+        // one scratch (A* search arrays + counters) across its share.
         let (fused, scratches): (Vec<(TransitionRecord, bool)>, Vec<MatchScratch>) = {
             let _s = obs.registry.span("study/match_fuse/match");
             taxitrace_exec::par_map_init_metered(
@@ -923,10 +892,6 @@ impl OdSelected {
                 transitions.push(record);
             }
         }
-        let cache_stats = scratches.iter().fold((0, 0), |(h, m), s| {
-            let (sh, sm) = s.cache_stats();
-            (h + sh, m + sm)
-        });
         taxitrace_matching::record_scratch_metrics(&scratches, &obs.registry);
         quarantine.record_stage_metrics(&obs.registry, "match_fuse", total);
         check_budget("match_fuse", quarantine.len() - before, total, error_budget)?;
@@ -934,7 +899,6 @@ impl OdSelected {
         span.finish();
 
         let metrics = obs.registry.snapshot();
-        let timings = StageTimings::from_metrics(&metrics);
         Ok(StudyOutput {
             config,
             city,
@@ -945,8 +909,6 @@ impl OdSelected {
             transitions,
             cleaning,
             quarantine,
-            timings,
-            cache_stats,
             metrics,
         })
     }
@@ -977,6 +939,50 @@ impl StudyOutput {
     /// paper reports 30 469 at full scale).
     pub fn total_transition_points(&self) -> usize {
         self.transitions.iter().map(|t| t.points.len()).sum()
+    }
+
+    /// FNV-1a digest of the pipeline output: cleaning totals, the Table 3
+    /// funnel and every fused transition down to point-speed bits. Equal
+    /// digests certify byte-identical results across worker counts and
+    /// across the batch, stream and external-input paths.
+    pub fn fingerprint(&self) -> u64 {
+        fn bytes(mut h: u64, bytes: &[u8]) -> u64 {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+            h
+        }
+        fn word(h: u64, v: u64) -> u64 {
+            bytes(h, &v.to_le_bytes())
+        }
+        let mut h = 0xCBF2_9CE4_8422_2325;
+        h = word(h, self.cleaning.sessions as u64);
+        h = word(h, self.cleaning.segments_kept as u64);
+        h = word(h, self.segments.len() as u64);
+        for row in self.funnel() {
+            for v in [
+                u64::from(row.taxi),
+                row.segments_total as u64,
+                row.any_crossing as u64,
+                row.filtered_cleaned as u64,
+                row.transitions_total as u64,
+                row.within_center as u64,
+                row.post_filtered as u64,
+            ] {
+                h = word(h, v);
+            }
+        }
+        for t in &self.transitions {
+            h = bytes(h, t.pair.as_bytes());
+            h = word(h, t.points.len() as u64);
+            h = word(h, t.dist_km.to_bits());
+            h = word(h, t.time_h.to_bits());
+            for p in &t.points {
+                h = word(h, p.speed_kmh.to_bits());
+            }
+        }
+        h
     }
 }
 
@@ -1083,22 +1089,17 @@ mod tests {
     fn stage_metrics_cover_the_pipeline() {
         let out = output();
         let m = &out.metrics;
-        // One counter per stage family, plus executor and cache stats.
+        // One counter per stage family, plus executor stats.
         assert!(m.counter("sim.sessions").is_some_and(|v| v > 0));
         assert!(m.counter("clean.sessions").is_some_and(|v| v > 0));
         assert!(m.counter("od.transitions_total").is_some_and(|v| v > 0));
         assert!(m.counter("match.traces").is_some_and(|v| v > 0));
         assert!(m.counter("exec.tasks").is_some_and(|v| v > 0));
-        let hits = m.counter("match.cache_hits").unwrap_or(0);
-        let misses = m.counter("match.cache_misses").unwrap_or(0);
-        assert_eq!((hits, misses), out.cache_stats);
         // Spans exist for all four stages and nest under them.
         for path in ["study/simulate", "study/clean", "study/od", "study/match_fuse"] {
             assert!(m.span(path).is_some(), "missing span {path}");
         }
         assert!(m.span("study/match_fuse/match").is_some());
-        // Timings are exactly the span walls.
-        assert_eq!(out.timings, StageTimings::from_metrics(m));
         // Counters agree with the carried outputs.
         assert_eq!(m.counter("clean.sessions"), Some(out.cleaning.sessions as u64));
         assert_eq!(
@@ -1130,7 +1131,6 @@ mod tests {
             whole.total_transition_points()
         );
         assert_eq!(staged.cleaning, whole.cleaning);
-        assert_eq!(staged.cache_stats, whole.cache_stats);
         // Deterministic metric counters agree too (walls differ, counts not).
         for name in [
             "sim.sessions",

@@ -76,8 +76,8 @@ pub use export::export_csv;
 pub use config::{ConfigError, FaultConfig, StudyConfig, StudyConfigBuilder};
 pub use error::Error;
 pub use experiment::{
-    resolved_fault_policy, transition_anomaly, weather_for, Cleaned, OdSelected, Simulated,
-    StageTimings, Study, StudyOutput,
+    resolved_fault_policy, transition_anomaly, weather_for, Cleaned, OdSelected, Simulated, Study,
+    StudyOutput,
 };
 pub use quarantine::{check_budget, Quarantine, QuarantineEntry, QuarantineReason};
 pub use taxitrace_traces::FaultPlan;

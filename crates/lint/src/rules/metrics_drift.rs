@@ -26,8 +26,10 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Parses `kind name` lines; `#` comments and blanks ignored. Kinds:
-    /// `counter`, `gauge`, `histogram`, `span`.
+    /// Parses `kind name family` lines; `#` comments and blanks ignored.
+    /// Kinds: `counter`, `gauge`, `histogram`, `span`. Families: `result`
+    /// (a pure function of the input, pinned by tests) or `perf`
+    /// (scheduling- or timing-dependent); a line without one is rejected.
     pub fn parse(text: &str) -> Result<MetricsRegistry, String> {
         let mut entries = Vec::new();
         for (i, line) in text.lines().enumerate() {
@@ -36,15 +38,16 @@ impl MetricsRegistry {
                 continue;
             }
             let mut parts = line.split_whitespace();
-            match (parts.next(), parts.next(), parts.next()) {
-                (Some(kind), Some(name), None)
+            match (parts.next(), parts.next(), parts.next(), parts.next()) {
+                (Some(kind), Some(name), Some("result" | "perf"), None)
                     if matches!(kind, "counter" | "gauge" | "histogram" | "span") =>
                 {
                     entries.push((kind.to_string(), name.to_string()));
                 }
                 _ => {
                     return Err(format!(
-                        "metrics registry line {}: expected `<kind> <name>`, got {line:?}",
+                        "metrics registry line {}: expected `<kind> <name> <result|perf>`, \
+                         got {line:?}",
                         i + 1
                     ));
                 }
@@ -174,7 +177,8 @@ mod tests {
 
     fn registry() -> MetricsRegistry {
         MetricsRegistry::parse(
-            "counter sim.sessions\ncounter clean.rule_fires.rule*\nspan study/simulate\n",
+            "counter sim.sessions result\ncounter clean.rule_fires.rule* result\n\
+             span study/simulate perf\n",
         )
         .expect("valid registry")
     }
@@ -232,6 +236,14 @@ mod tests {
 
     #[test]
     fn registry_rejects_bad_kind() {
-        assert!(MetricsRegistry::parse("meter x.y\n").is_err());
+        assert!(MetricsRegistry::parse("meter x.y result\n").is_err());
+    }
+
+    #[test]
+    fn registry_rejects_missing_or_unknown_family() {
+        assert!(MetricsRegistry::parse("counter x.y\n").is_err());
+        assert!(MetricsRegistry::parse("counter x.y cache\n").is_err());
+        assert!(MetricsRegistry::parse("counter x.y result extra\n").is_err());
+        assert!(MetricsRegistry::parse("counter x.y perf\n").is_ok());
     }
 }

@@ -5,7 +5,7 @@ use taxitrace_roadnet::{EdgeId, RoadGraph};
 use taxitrace_traces::RoutePoint;
 
 use crate::candidates::{CandidateIndex, ScoredCandidate};
-use crate::path::{element_path_blind, element_path_budgeted};
+use crate::path::element_path_budgeted;
 use crate::scratch::MatchScratch;
 use crate::types::{MatchConfig, MatchedPoint, MatchedTrace};
 
@@ -57,20 +57,6 @@ pub fn match_trace(
     match_trace_with(&mut MatchScratch::new(), graph, index, points, config)
 }
 
-/// Pre-optimisation reference of [`match_trace`]: identical matching, but
-/// gaps are filled by blind per-query Dijkstra with no memoisation — the
-/// behaviour the goal-directed routing core replaced. Kept for benches.
-pub fn match_trace_reference(
-    graph: &RoadGraph,
-    index: &CandidateIndex,
-    points: &[RoutePoint],
-    config: &MatchConfig,
-) -> MatchedTrace {
-    let (matched, unmatched) = match_points(graph, index, points, config);
-    let elements = element_path_blind(graph, &matched, config.gap_fill);
-    MatchedTrace { points: matched, elements, unmatched }
-}
-
 /// [`match_trace`] with caller-owned scratch, reused across traces.
 pub fn match_trace_with(
     scratch: &mut MatchScratch,
@@ -80,7 +66,7 @@ pub fn match_trace_with(
     config: &MatchConfig,
 ) -> MatchedTrace {
     let (matched, unmatched, candidates_scored) =
-        match_points_counted(graph, index, points, config);
+        match_points(graph, index, points, config);
     scratch.traces += 1;
     scratch.candidates_scored += candidates_scored;
     scratch.points_matched += matched.len() as u64;
@@ -95,20 +81,9 @@ pub fn match_trace_with(
     MatchedTrace { points: matched, elements, unmatched }
 }
 
-/// The per-point scoring loop shared by every `match_trace` variant.
+/// The per-point scoring loop; also reports how many candidates were
+/// scored, for the matcher's observability counters.
 fn match_points(
-    graph: &RoadGraph,
-    index: &CandidateIndex,
-    points: &[RoutePoint],
-    config: &MatchConfig,
-) -> (Vec<MatchedPoint>, usize) {
-    let (matched, unmatched, _) = match_points_counted(graph, index, points, config);
-    (matched, unmatched)
-}
-
-/// [`match_points`] that also reports how many candidates were scored,
-/// for the matcher's observability counters.
-fn match_points_counted(
     graph: &RoadGraph,
     index: &CandidateIndex,
     points: &[RoutePoint],

@@ -10,7 +10,7 @@ use crate::types::MatchedPoint;
 
 /// Builds the travel-order element sequence from per-point matches using
 /// one-shot scratch space. Prefer [`element_path_with`] on hot paths — it
-/// reuses search arrays and memoises gap-fill routes across traces.
+/// reuses the search arrays across traces.
 pub fn element_path(graph: &RoadGraph, matched: &[MatchedPoint], gap_fill: bool) -> Vec<ElementId> {
     element_path_with(&mut MatchScratch::new(), graph, matched, gap_fill)
 }
@@ -19,9 +19,8 @@ pub fn element_path(graph: &RoadGraph, matched: &[MatchedPoint], gap_fill: bool)
 ///
 /// Consecutive matches on the same edge are walked along the edge's element
 /// chain; transitions between edges that share a junction need no filling;
-/// farther transitions are routed (goal-directed A*, memoised in
-/// `scratch.cache`) when `gap_fill` is on (otherwise the sequence simply
-/// jumps).
+/// farther transitions are routed (goal-directed A*, one query per gap)
+/// when `gap_fill` is on (otherwise the sequence simply jumps).
 pub fn element_path_with(
     scratch: &mut MatchScratch,
     graph: &RoadGraph,
@@ -34,65 +33,14 @@ pub fn element_path_with(
 /// [`element_path_with`] with a per-query node-expansion budget on the
 /// gap-fill router. A budget-exhausted query degrades gracefully: the
 /// element sequence jumps the gap (same as `gap_fill = false` for that one
-/// transition), the fallback is counted in
-/// [`MatchScratch::gaps_budget_exhausted`], and — unlike found routes and
-/// genuinely unroutable pairs — the non-result is never cached, because it
-/// is a property of the budget, not of the graph.
+/// transition) and the fallback is counted in
+/// [`MatchScratch::gaps_budget_exhausted`].
 pub fn element_path_budgeted(
     scratch: &mut MatchScratch,
     graph: &RoadGraph,
     matched: &[MatchedPoint],
     gap_fill: bool,
     max_expansions: u64,
-) -> Vec<ElementId> {
-    element_path_inner(graph, matched, gap_fill, &mut |exit, entry| {
-        // Route across the gap. The memoised value is exactly what the A*
-        // query (itself bit-equal to the Dijkstra reference) would
-        // recompute, so the cache affects speed only.
-        let MatchScratch { search, cache, gaps_budget_exhausted, .. } = scratch;
-        let model = dijkstra::CostModel::Distance;
-        let key = (exit, entry, model);
-        if let Some(cached) = cache.lookup(&key) {
-            return cached;
-        }
-        match dijkstra::astar_bounded(search, graph, exit, entry, model, max_expansions) {
-            dijkstra::SearchOutcome::Found(route) => {
-                let elements = route.element_ids(graph);
-                cache.insert(key, Some(elements.clone()));
-                Some(elements)
-            }
-            dijkstra::SearchOutcome::Unreachable => {
-                cache.insert(key, None);
-                None
-            }
-            dijkstra::SearchOutcome::BudgetExhausted { .. } => {
-                *gaps_budget_exhausted += 1;
-                None
-            }
-        }
-    })
-}
-
-/// Pre-optimisation reference of [`element_path`]: blind Dijkstra per gap
-/// with per-query allocation and no memoisation. Kept so benches and the
-/// `repro --bench-json` A/B can quantify the routing-core speedup against
-/// the behaviour this crate shipped with.
-pub fn element_path_blind(
-    graph: &RoadGraph,
-    matched: &[MatchedPoint],
-    gap_fill: bool,
-) -> Vec<ElementId> {
-    element_path_inner(graph, matched, gap_fill, &mut |exit, entry| {
-        dijkstra::shortest_path(graph, exit, entry, dijkstra::CostModel::Distance)
-            .map(|route| route.element_ids(graph))
-    })
-}
-
-fn element_path_inner(
-    graph: &RoadGraph,
-    matched: &[MatchedPoint],
-    gap_fill: bool,
-    route: &mut dyn FnMut(NodeId, NodeId) -> Option<Vec<ElementId>>,
 ) -> Vec<ElementId> {
     let mut out: Vec<ElementId> = Vec::new();
     let mut push = |out: &mut Vec<ElementId>, e: ElementId| {
@@ -142,9 +90,24 @@ fn element_path_inner(
                 let exit = nearest_endpoint(graph, e1, midpoint(e2));
                 let entry = nearest_endpoint(graph, e2, graph.node_point(exit));
                 walk_to_node(e1, p.element, exit, &mut out, &mut push);
-                if let Some(route_elements) = route(exit, entry) {
-                    for &e in &route_elements {
-                        push(&mut out, e);
+                // Route across the gap. An unreachable pair or an
+                // exhausted budget leaves the gap unfilled.
+                match dijkstra::astar_bounded(
+                    &mut scratch.search,
+                    graph,
+                    exit,
+                    entry,
+                    dijkstra::CostModel::Distance,
+                    max_expansions,
+                ) {
+                    dijkstra::SearchOutcome::Found(route) => {
+                        for e in route.element_ids(graph) {
+                            push(&mut out, e);
+                        }
+                    }
+                    dijkstra::SearchOutcome::Unreachable => {}
+                    dijkstra::SearchOutcome::BudgetExhausted { .. } => {
+                        scratch.gaps_budget_exhausted += 1;
                     }
                 }
                 walk_from_node(e2, m.element, entry, &mut out, &mut push);
@@ -306,45 +269,46 @@ mod tests {
         assert!(element_path(&g, &[], true).is_empty());
     }
 
-    /// A disconnected far segment forces the gap-fill router; repeating
-    /// the trace through one scratch must serve the second pass from the
-    /// cache with an identical element sequence.
+    /// A disconnected far segment forces the gap-fill router. A scratch
+    /// reused across traces must give the same element sequence as a
+    /// fresh one, trace after trace.
     #[test]
-    fn gap_fill_cache_hit_yields_identical_sequence() {
+    fn reused_scratch_matches_fresh_scratch() {
         let (g, _els) = setup();
         // Stub 10 (west end) and stub 14 (east end) lie on edges that
         // share no junction, so the transition needs a routed fill.
-        let matched = vec![mp(0, &g, 10, 25.0), mp(1, &g, 14, 25.0)];
+        let traces = [
+            vec![mp(0, &g, 10, 25.0), mp(1, &g, 14, 25.0)],
+            vec![mp(0, &g, 2, 50.0), mp(1, &g, 4, 50.0)],
+            vec![mp(0, &g, 15, 25.0), mp(1, &g, 11, 25.0)],
+            vec![mp(0, &g, 10, 25.0), mp(1, &g, 14, 25.0)],
+        ];
         let mut scratch = MatchScratch::new();
-        let cold = element_path_with(&mut scratch, &g, &matched, true);
-        let (h0, m0) = scratch.cache_stats();
-        let warm = element_path_with(&mut scratch, &g, &matched, true);
-        let (h1, m1) = scratch.cache_stats();
-        assert_eq!(cold, warm, "cache hit must reproduce the uncached path exactly");
-        assert_eq!(m1, m0, "second pass must not miss");
-        assert!(h1 > h0, "second pass must hit the cache");
-        // And both must equal the scratch-free (uncached) computation.
-        assert_eq!(cold, element_path(&g, &matched, true));
+        for matched in &traces {
+            let reused = element_path_with(&mut scratch, &g, matched, true);
+            assert_eq!(reused, element_path(&g, matched, true));
+        }
+        let routed = element_path(&g, &traces[0], true);
+        assert!(routed.len() > 2, "the far transition must be routed: {routed:?}");
     }
 
     /// A zero expansion budget forces the gap-fill fallback: the element
-    /// sequence jumps the gap, the fallback is counted, and nothing is
-    /// cached — so a later unbudgeted pass recomputes the real route.
+    /// sequence jumps the gap and the fallback is counted; a later
+    /// unbudgeted pass through the same scratch routes the gap again.
     #[test]
-    fn exhausted_budget_falls_back_and_never_caches() {
+    fn exhausted_budget_falls_back_then_recovers() {
         let (g, _els) = setup();
         let matched = vec![mp(0, &g, 10, 25.0), mp(1, &g, 14, 25.0)];
         let mut scratch = MatchScratch::new();
         let starved = element_path_budgeted(&mut scratch, &g, &matched, true, 0);
         assert_eq!(scratch.gaps_budget_exhausted, 1);
-        assert_eq!(scratch.cache.len(), 0, "budget exhaustion must not be memoised");
         // The fallback equals gap_fill = false for that transition.
         let unfilled = element_path(&g, &matched, false);
         assert_eq!(starved, unfilled);
-        // With the budget lifted, the same scratch now routes and caches.
+        // With the budget lifted, the same scratch routes the gap.
         let full = element_path_budgeted(&mut scratch, &g, &matched, true, u64::MAX);
         assert_eq!(full, element_path(&g, &matched, true));
-        assert!(!scratch.cache.is_empty());
+        assert_ne!(full, starved);
         assert_eq!(scratch.gaps_budget_exhausted, 1, "no new fallbacks");
     }
 

@@ -1,7 +1,7 @@
 //! `taxitrace-obs`: the workspace's observability core.
 //!
 //! The pipeline's quality rests on knowing *what each stage did to the
-//! data* — rule fire counts, funnel drop-offs, gap-fill cache rates,
+//! data* — rule fire counts, funnel drop-offs, A* search effort,
 //! executor balance. This crate gives every layer one vocabulary for
 //! those numbers:
 //!

@@ -15,8 +15,8 @@
 //!
 //! Safe Rust only (`forbid(unsafe_code)` — no home-grown atomics
 //! juggling raw pointers); the mutex exists but is provably off the read
-//! path, which the `serve.epoch_refreshes` counter and the contention
-//! figures in `BENCH_serve.json` both evidence.
+//! path, which the `serve.epoch_refreshes` counter and the
+//! [`contention_bench`](crate::contention_bench) figures both evidence.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -16,7 +16,7 @@
 //! times each, once through an [`EpochReader`] (one atomic load) and once
 //! through a `Mutex<Arc<T>>` locked per request (the RwLock-per-request
 //! family every reader contends on). The ratio is the evidence behind
-//! "no locks on the read path" in `BENCH_serve.json`.
+//! "no locks on the read path"; the benchmark's traced pass reports it.
 
 use std::collections::BTreeSet;
 use std::io::{BufReader, Read, Write};
@@ -54,12 +54,9 @@ pub struct LoadSpec {
     pub requests_per_client: usize,
 }
 
-/// Outcome of a load run: determinism fingerprints plus latency and
-/// throughput figures.
+/// Outcome of a load run: request counts and determinism fingerprints.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadReport {
-    pub seed: u64,
-    pub clients: usize,
     pub requests: usize,
     /// Non-200 responses (0 in a healthy run — every planned request is
     /// well-formed).
@@ -71,9 +68,6 @@ pub struct LoadReport {
     /// runs because answers are canonical JSON over an immutable
     /// snapshot.
     pub response_fingerprint: u64,
-    pub p50_us: u64,
-    pub p99_us: u64,
-    pub throughput_qps: f64,
 }
 
 /// Plans one client's request paths from its forked rng stream. Sampling
@@ -176,56 +170,30 @@ pub fn run_load(addr: SocketAddr, snapshot: &Snapshot, spec: &LoadSpec) -> LoadR
         .flatten()
         .fold(0u64, |acc, p| acc.wrapping_add(fnv1a(p.as_bytes())));
 
-    // lint:allow(determinism): wall-clock throughput measurement, not pipeline state
-    let t0 = std::time::Instant::now();
     let mut handles = Vec::with_capacity(plans.len());
     for plan in plans {
         handles.push(std::thread::spawn(move || {
-            let mut latencies = Vec::with_capacity(plan.len());
             let mut fp = 0u64;
             let mut errors = 0usize;
             for path in &plan {
-                // lint:allow(determinism): per-request latency sample
-                let start = std::time::Instant::now();
                 match http_get(addr, path) {
                     Ok((200, body)) => fp = fp.wrapping_add(fnv1a(body.as_bytes())),
                     _ => errors += 1,
                 }
-                latencies.push(start.elapsed().as_micros() as u64);
             }
-            (latencies, fp, errors)
+            (plan.len(), fp, errors)
         }));
     }
-    let mut latencies = Vec::with_capacity(spec.clients * spec.requests_per_client);
+    let mut requests = 0usize;
     let mut response_fingerprint = 0u64;
     let mut errors = 0usize;
     for h in handles {
-        let (lat, fp, errs) = h.join().unwrap_or_else(|_| (Vec::new(), 0, usize::MAX));
-        latencies.extend(lat);
+        let (sent, fp, errs) = h.join().unwrap_or((0, 0, usize::MAX));
+        requests += sent;
         response_fingerprint = response_fingerprint.wrapping_add(fp);
         errors = errors.saturating_add(errs);
     }
-    let wall = t0.elapsed().as_secs_f64();
-
-    latencies.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-        latencies[idx.min(latencies.len() - 1)]
-    };
-    LoadReport {
-        seed: spec.seed,
-        clients: spec.clients,
-        requests: latencies.len(),
-        errors,
-        mix_fingerprint,
-        response_fingerprint,
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
-        throughput_qps: if wall > 0.0 { latencies.len() as f64 / wall } else { 0.0 },
-    }
+    LoadReport { requests, errors, mix_fingerprint, response_fingerprint }
 }
 
 /// Read-path contention comparison: ns/op to acquire the current
@@ -297,37 +265,6 @@ where
     t0.elapsed().as_nanos() as f64 / total_ops
 }
 
-impl LoadReport {
-    /// JSON object fragment for `BENCH_serve.json`.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"seed\":{},\"clients\":{},\"requests\":{},\"errors\":{},\
-             \"mix_fingerprint\":\"{:016x}\",\"response_fingerprint\":\"{:016x}\",\
-             \"p50_us\":{},\"p99_us\":{},\"throughput_qps\":{:.1}}}",
-            self.seed,
-            self.clients,
-            self.requests,
-            self.errors,
-            self.mix_fingerprint,
-            self.response_fingerprint,
-            self.p50_us,
-            self.p99_us,
-            self.throughput_qps
-        )
-    }
-}
-
-impl ContentionReport {
-    /// JSON object fragment for `BENCH_serve.json`.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"threads\":{},\"acquisitions_per_thread\":{},\
-             \"epoch_ns_per_op\":{:.1},\"mutex_ns_per_op\":{:.1}}}",
-            self.threads, self.acquisitions_per_thread, self.epoch_ns_per_op, self.mutex_ns_per_op
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,7 +281,5 @@ mod tests {
         let r = contention_bench(2, 10_000);
         assert!(r.epoch_ns_per_op > 0.0);
         assert!(r.mutex_ns_per_op > 0.0);
-        let json = r.to_json();
-        assert!(json.contains("\"epoch_ns_per_op\""));
     }
 }
